@@ -381,7 +381,7 @@ bool Journal::sync(std::string &Error) {
   }
   // fdatasync, not fsync: an append-only log needs the data and the file
   // size durable, not timestamps — on ext4 that skips a second metadata
-  // journal commit per batch, and this call sits on the courier's
+  // journal commit per batch, and this call sits on the shard thread's
   // critical path between append and execute.
   if (::fdatasync(Fd) != 0) {
     Error = std::string("journal fsync failed: ") + std::strerror(errno);

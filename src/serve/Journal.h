@@ -11,10 +11,10 @@
 /// per-shard append-only write-ahead log that makes acknowledged requests
 /// reproducible across any crash:
 ///
-///  - **Intent records** are appended by the courier for every Eval in a
-///    batch and fsynced once per batch *before* the batch crosses the
-///    IpcChannel — piggybacking the sync on the batch boundary keeps the
-///    steady-state cost to one fsync per channel crossing.
+///  - **Intent records** are appended by the shard thread for every Eval
+///    in a batch and fsynced once per batch *before* any of it executes —
+///    piggybacking the sync on the batch boundary keeps the steady-state
+///    cost to one fsync per batch.
 ///  - **Outcome records** are appended by the shard thread as each request
 ///    resolves (Executed / TimedOut / SkippedExpired / SkippedCrash) and
 ///    ride the *next* batch's fsync. A process crash can tear them off;
@@ -135,7 +135,7 @@ public:
   /// leaves either the old or the new file). Positions are preserved:
   /// the new file's base is \p Mark. Call only after the checkpoint
   /// covering \p Mark has committed (its rename landed), and only from
-  /// the shard thread while the courier is parked. The
+  /// the shard thread, the journal's one writer. The
   /// `journal.truncate.fail` chaos point fails it; the journal then just
   /// stays longer — replay remains correct.
   bool truncateBelow(uint64_t Mark, std::string &Error);

@@ -6,15 +6,14 @@
 ///
 /// \file
 /// The per-shard request queue and its batching discipline. The socket
-/// front-end pushes parsed requests here from the event loop; the shard's
-/// courier thread drains *everything queued* as one batch and carries it
-/// through the shard's IpcChannel in a single Send. Because the courier
-/// keeps exactly one batch outstanding (V's Send blocks until the shard
-/// Replies), batching is self-tuning: while the shard chews on batch N,
-/// new requests pile up here and become batch N+1 — light load degrades
-/// to batch-of-one dispatch, heavy load amortizes the channel crossing
-/// over hundreds of requests. FIFO order is preserved end to end, which
-/// is what makes per-session response ordering trivial.
+/// front-end pushes parsed requests here from the event loop; the shard
+/// thread drains *everything queued* (up to a cap) as one batch. Because
+/// the shard takes the next batch only after finishing the last one,
+/// batching is self-tuning: while the shard chews on batch N, new
+/// requests pile up here and become batch N+1 — light load degrades to
+/// batch-of-one dispatch, heavy load amortizes the per-batch journal
+/// fsync and wake-up over hundreds of requests. FIFO order is preserved
+/// end to end, which is what makes per-session response ordering trivial.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,9 +32,9 @@
 namespace mst {
 namespace serve {
 
-/// One request in flight between the front-end and a shard. The courier
-/// owns the containing batch; the shard fills in the result fields and
-/// sets Done before replying.
+/// One request in flight between the front-end and a shard. The shard
+/// thread owns the containing batch while it runs, fills in the result
+/// fields, and sets Done before handing the batch back to the front-end.
 struct QueuedRequest {
   uint64_t SessionId = 0;
   uint64_t Seq = 0;      ///< per-session sequence (FIFO check support)
@@ -60,15 +59,15 @@ struct QueuedRequest {
   /// bookkeeping on the response path).
   unsigned Shard = 0;
 
-  // Journal bookkeeping (courier/shard threads; see serve/Journal.h).
-  /// Intent record id assigned by the courier's WAL append; 0 = not
+  // Journal bookkeeping (shard thread; see serve/Journal.h).
+  /// Intent record id assigned by the shard's WAL append; 0 = not
   /// journaled (journal off, admin request, or dedup hit).
   uint64_t JournalId = 0;
   /// Outcome as recorded in the journal (Journal::Outcome numeric value);
-  /// 0 = none. The courier reads it after Reply to decide dedup inserts.
+  /// 0 = none. Read after the batch executes to decide dedup inserts.
   uint8_t JournalOutcome = 0;
 
-  // Result (written by the shard thread, read after Reply).
+  // Result (written by the shard thread, read by the front-end).
   bool Done = false;
   bool Ok = false;
   /// The request was unwound (or shed) by its deadline — breaker food.
@@ -78,7 +77,7 @@ struct QueuedRequest {
 
 using Batch = std::vector<QueuedRequest>;
 
-/// MPSC queue: any thread pushes, one courier drains batches.
+/// MPSC queue: any thread pushes, one shard thread drains batches.
 class RequestBatcher {
 public:
   /// Enqueues \p R. \returns false (dropping the request) once closed.
@@ -86,9 +85,9 @@ public:
 
   /// Blocks until at least one request is queued or the batcher closes,
   /// then moves up to \p Max requests into \p Out (cleared first), oldest
-  /// first. \returns false only when closed *and* drained — the courier's
-  /// exit condition; every request pushed before close() is still
-  /// delivered.
+  /// first. \returns false only when closed *and* drained — the shard
+  /// thread's exit condition; every request pushed before close() is
+  /// still delivered.
   bool takeBatch(Batch &Out, size_t Max);
 
   /// Closes the queue: push() starts refusing, takeBatch() drains what

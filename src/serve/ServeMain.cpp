@@ -59,8 +59,6 @@ int main(int argc, char **argv) {
       Config.Pool.Journal = true;
     } else if (std::strncmp(A, "--replay-deadline-ms=", 21) == 0) {
       Config.Pool.ReplayDeadlineMs = std::strtoull(A + 21, nullptr, 0);
-    } else if (std::strncmp(A, "--max-batch=", 12) == 0) {
-      Config.Pool.MaxBatch = std::strtoull(A + 12, nullptr, 0);
     } else if (std::strncmp(A, "--max-pipeline=", 15) == 0) {
       Config.MaxPipeline = std::strtoull(A + 15, nullptr, 0);
     } else if (std::strncmp(A, "--drain-timeout=", 16) == 0) {
@@ -85,8 +83,7 @@ int main(int argc, char **argv) {
                    "usage: %s [--port=N] [--shards=N] [--image=PATH] "
                    "[--data-dir=DIR] [--snapshot-every=MS] "
                    "[--snapshot-keep=N] [--journal] "
-                   "[--replay-deadline-ms=MS] "
-                   "[--max-batch=N] [--max-pipeline=N] "
+                   "[--replay-deadline-ms=MS] [--max-pipeline=N] "
                    "[--drain-timeout=SEC] [--request-deadline-ms=MS] "
                    "[--queue-budget=N] [--breaker-threshold=N] "
                    "[--breaker-open-ms=MS] [--abort-grace-ms=MS] "

@@ -6,14 +6,14 @@
 ///
 /// \file
 /// The serving layer's registry entries, gathered in one struct owned by
-/// the Server so every shard/courier increments the same instances. All
+/// the Server so every shard increments the same instances. All
 /// of them aggregate by name through the process-wide Telemetry registry,
 /// so they appear in writeTelemetryJson, the admin health report, and the
 /// BENCH_*.json artifacts without further plumbing:
 ///
 ///   serve.requests          requests completed (counter)
 ///   serve.errors            requests answered ERR (counter)
-///   serve.batches           batches carried through IpcChannels (counter)
+///   serve.batches           batches shards took off their queues (counter)
 ///   serve.shard.restarts    shard crash/restart cycles (counter)
 ///   serve.deadline.expired  request deadlines that expired (counter)
 ///   serve.aborts            in-VM aborts delivered to runaways (counter)
@@ -36,7 +36,8 @@
 ///   serve.journal.truncations      checkpoint-commit compactions
 ///   serve.journal.torn      torn tails repaired at journal open
 ///   serve.sessions.active   open client sessions (gauge)
-///   serve.queue.depth       requests queued across all batchers (gauge)
+///   serve.queue.depth       requests queued across all batchers (gauge,
+///                           registered by the ShardPool)
 ///   serve.batch.size        requests per batch (histogram, unit "reqs")
 ///   serve.latency           enqueue-to-completion latency (histogram, ns)
 ///   serve.queue.wait        enqueue-to-eval-start wait (histogram, ns)
@@ -83,13 +84,6 @@ struct ServeStats {
                          return ActiveSessions.load(
                              std::memory_order_relaxed);
                        }};
-  /// Requests sitting in batchers right now (pushed, not yet taken by a
-  /// courier). Shards increment on successful push; couriers subtract
-  /// whole batches.
-  std::atomic<uint64_t> QueuedNow{0};
-  Gauge QueueDepth{"serve.queue.depth", [this] {
-                     return QueuedNow.load(std::memory_order_relaxed);
-                   }};
 };
 
 } // namespace serve

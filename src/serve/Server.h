@@ -7,13 +7,13 @@
 /// \file
 /// The serving layer's front door: a poll()-based event loop on one
 /// thread multiplexing thousands of loopback TCP sessions onto the shard
-/// pool. The loop owns every socket and Session; shard couriers deliver
+/// pool. The loop owns every socket and Session; shard threads deliver
 /// completed batches through a locked queue plus a wake pipe, so the only
 /// cross-thread traffic is enqueue/drain of finished work.
 ///
 ///   accept -> Session (pinned to SessionId % shards)
 ///   readable -> frame lines -> parse -> RequestBatcher[shard]
-///   courier reply -> response queue -> wake pipe -> session Out -> write
+///   shard batch done -> response queue -> wake pipe -> session Out -> write
 ///
 /// Graceful lifecycle: requestDrain() (SIGTERM, or the `!drain` admin
 /// command) stops accepting, stops reading, lets in-flight requests
@@ -151,7 +151,7 @@ private:
   };
   std::vector<ShardGate> Gates; // indexed by shard, sized in start()
 
-  // Cross-thread: courier-completed batches + drain request.
+  // Cross-thread: shard-completed batches + drain request.
   std::mutex RespMutex;
   std::deque<Batch> Responses; // guarded by RespMutex
   std::atomic<bool> DrainRequested{false};

@@ -9,7 +9,7 @@
 /// life (SessionId % shards): every doIt a session evaluates sees the
 /// same image, so `Smalltalk at: #X put:` in request 1 is visible to
 /// request 2. Sessions are owned and touched exclusively by the event-
-/// loop thread; couriers hand responses over through the Server's queue,
+/// loop thread; shards hand responses over through the Server's queue,
 /// never through this struct.
 ///
 /// Flow control: a session may pipeline requests, but past MaxPipeline

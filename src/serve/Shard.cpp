@@ -31,8 +31,8 @@ Shard::~Shard() { stop(); }
 
 void Shard::start() {
   if (!Config.JournalPath.empty()) {
-    // Open before either thread exists: the courier appends intents from
-    // its very first batch. A journal that cannot open disables
+    // Open before the shard thread exists: boot replays it and the first
+    // batch appends to it. A journal that cannot open disables
     // journaling rather than the shard — the crash ladder then behaves
     // exactly as without one, which is degraded, not broken.
     Jrnl = std::make_unique<Journal>();
@@ -45,7 +45,6 @@ void Shard::start() {
     }
   }
   ShardThread = std::thread([this] { shardMain(); });
-  CourierThread = std::thread([this] { courierMain(); });
   WatchdogThread = std::thread([this] { watchdogMain(); });
 }
 
@@ -62,10 +61,7 @@ bool Shard::waitReady(double TimeoutSec) {
 bool Shard::submit(QueuedRequest R) {
   if (Stopping.load(std::memory_order_relaxed))
     return false;
-  if (!Batcher.push(std::move(R)))
-    return false;
-  Stats.QueuedNow.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  return Batcher.push(std::move(R));
 }
 
 void Shard::stop() {
@@ -75,9 +71,6 @@ void Shard::stop() {
     // the Server, so just fall through when the threads are gone.
   }
   Batcher.close();
-  if (CourierThread.joinable())
-    CourierThread.join();
-  Channel.shutdown();
   if (ShardThread.joinable())
     ShardThread.join();
   // The watchdog outlives the shard thread: drained requests with
@@ -100,7 +93,7 @@ Shard::Health Shard::health() {
   H.Requests = RequestCount.load(std::memory_order_relaxed);
   H.Batches = BatchCount.load(std::memory_order_relaxed);
   H.Checkpoints = CheckpointCount.load(std::memory_order_relaxed);
-  H.QueueDepth = Batcher.depth();
+  H.QueueDepth = queueDepth();
   uint64_t Oldest = Batcher.oldestEnqueueNs();
   if (Oldest != 0) {
     uint64_t Now = Telemetry::nowNs();
@@ -248,7 +241,7 @@ void Shard::processBatch(Batch &B) {
   for (size_t I = 0; I < B.size(); ++I) {
     QueuedRequest &Q = B[I];
     if (Q.Done)
-      continue; // answered by the courier (dedup hit / journal refusal)
+      continue; // answered by prepareBatchJournal (dedup hit / refusal)
     if (Q.Kind == Request::Kind::Kill) {
       Q.Done = true;
       Q.Ok = true;
@@ -286,10 +279,10 @@ void Shard::processBatch(Batch &B) {
         if (journaled()) {
           // Mid-batch checkpoint: everything executed so far has its
           // outcome below endPos, but this batch's *unexecuted* intents
-          // are below it too (the courier appends the whole batch up
-          // front). Freeze the mark, then re-journal the unexecuted tail
-          // above it, so replay-from-mark re-sees exactly the work this
-          // image will not contain.
+          // are below it too (prepareBatchJournal appends the whole
+          // batch up front). Freeze the mark, then re-journal the
+          // unexecuted tail above it, so replay-from-mark re-sees exactly
+          // the work this image will not contain.
           PendingMark = Jrnl->endPos();
           bool ReAppended = false;
           for (size_t J = I + 1; J < B.size(); ++J) {
@@ -500,28 +493,39 @@ void Shard::shardMain() {
   }
   ReadyCv.notify_all();
 
+  constexpr size_t MaxBatch = 256;
   for (;;) {
-    uint64_t Bits = 0;
-    IpcChannel::MessageHandle H;
+    Batch B;
     {
-      // Parked between batches counts as safe: the periodic checkpointer
+      // Waiting between batches counts as safe: the periodic checkpointer
       // (or any service thread) can stop this shard's world meanwhile.
       BlockedRegion Blocked(VM->memory().safepoint());
-      H = Channel.receive(Bits);
+      ProfStateScope Prof(ProfState::Idle);
+      if (!Batcher.takeBatch(B, MaxBatch))
+        break; // closed and drained: graceful exit
     }
-    if (!H)
-      break; // channel shut down: graceful exit
-    Batch *B = reinterpret_cast<Batch *>(static_cast<uintptr_t>(Bits));
-    processBatch(*B);
+    Stats.Batches.add();
+    Stats.BatchSize.record(B.size());
+    // WAL discipline: every Eval's intent is on disk (and fsynced, once
+    // for the whole batch) before any request in the batch executes — an
+    // OK can then always be re-derived from checkpoint + journal.
+    if (journaled())
+      prepareBatchJournal(B);
+    processBatch(B);
     // Any refusal this batch produced (deadline expiries, timeouts) is
-    // on disk before the reply releases its ERR to the client.
+    // on disk before the sink releases its ERR to the client.
     syncRefusals();
-    // Journaled shards auto-checkpoint here, before the reply releases
-    // the courier: the journal is quiescent, so the recorded mark covers
-    // exactly what the image contains.
+    // Journaled shards auto-checkpoint here, between batches: the
+    // journal is quiescent, so the recorded mark covers exactly what the
+    // image contains.
     maybeAutoCheckpoint();
     BatchCount.fetch_add(1, std::memory_order_relaxed);
-    Channel.reply(H, B->size());
+    uint64_t Now = Telemetry::nowNs();
+    for (const QueuedRequest &Q : B)
+      Stats.Latency.record(Now - Q.EnqueueNs);
+    if (journaled())
+      finishBatchJournal(B);
+    Sink(std::move(B));
   }
 
   // Graceful lifecycle: SIGTERM/stop() checkpoints every shard before
@@ -541,41 +545,6 @@ void Shard::shardMain() {
   }
   teardownVm();
   setState("stopped");
-}
-
-void Shard::courierMain() {
-  for (;;) {
-    auto B = std::make_unique<Batch>();
-    if (!Batcher.takeBatch(*B, Config.MaxBatch))
-      break; // closed and drained
-    Stats.QueuedNow.fetch_sub(B->size(), std::memory_order_relaxed);
-    Stats.Batches.add();
-    Stats.BatchSize.record(B->size());
-    // WAL discipline: every Eval's intent is on disk (and fsynced, once
-    // for the whole batch) before the batch crosses the channel — an OK
-    // can then always be re-derived from checkpoint + journal.
-    if (journaled())
-      prepareBatchJournal(*B);
-    chaos::point("serve.courier.send");
-    (void)Channel.send(static_cast<uint64_t>(
-        reinterpret_cast<uintptr_t>(B.get())));
-    // The shard filled results in place (or the channel shut down under
-    // us and nobody did — mark those, don't drop them).
-    uint64_t Now = Telemetry::nowNs();
-    for (QueuedRequest &Q : *B) {
-      if (!Q.Done) {
-        Q.Done = true;
-        Q.Ok = false;
-        Q.Value = "shard " + std::to_string(Config.Index) +
-                  " unavailable (shutting down)";
-        Stats.Errors.add();
-      }
-      Stats.Latency.record(Now - Q.EnqueueNs);
-    }
-    if (journaled())
-      finishBatchJournal(*B);
-    Sink(std::move(*B));
-  }
 }
 
 void Shard::prepareBatchJournal(Batch &B) {
@@ -600,7 +569,7 @@ void Shard::prepareBatchJournal(Batch &B) {
         continue;
       }
       if (!Dedup.markInFlight(Q.ClientId, Q.ClientSeq)) {
-        // The original is still somewhere between journal and reply;
+        // The original is still somewhere between journal and response;
         // executing the resend too would double-apply it.
         Q.Done = true;
         Q.Ok = false;
@@ -674,8 +643,8 @@ void Shard::appendOutcomeFor(QueuedRequest &Q, Journal::Outcome Out) {
                           Out, Q.Ok, Q.Value, Err)) {
     Stats.JournalAppends.add();
     // Refusals must reach disk before their ERR escapes (syncRefusals
-    // runs before every reply and before the crash ladder's tear
-    // window); Executed outcomes ride the next batch fsync.
+    // runs before every batch reaches the sink and before the crash
+    // ladder's tear window); Executed outcomes ride the next batch fsync.
     if (Out != Journal::Outcome::Executed)
       RefusalPending = true;
   } else {

@@ -5,19 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One shard = one independent VirtualMachine image plus the two threads
-/// that feed it:
+/// One shard = one independent VirtualMachine image plus the thread that
+/// drives it. The shard thread constructs/boots the VM (it must own its
+/// VM: a VirtualMachine is built, driven, and destroyed on its
+/// constructing thread), then loops
 ///
-///   courier thread: RequestBatcher::takeBatch -> IpcChannel::send(batch)
-///                   -> deliver responses to the front-end sink
-///   shard thread:   constructs/boots the VM (it must own its VM: a
-///                   VirtualMachine is built, driven, and destroyed on
-///                   its constructing thread), then loops
-///                   receive -> evaluate each request -> reply
+///   RequestBatcher::takeBatch -> journal intents -> evaluate each
+///   request -> deliver responses to the front-end sink
 ///
-/// The IpcChannel crossing is the paper's V Send/Receive/Reply used as a
-/// work conduit: the courier keeps one batch outstanding, so the shard
-/// processes batches strictly in order while the next batch accumulates.
+/// Batches run strictly in order while the next batch accumulates in the
+/// batcher.
 ///
 /// Recovery ladder (the serving layer's whole point of reusing the PR 5
 /// snapshot machinery): a shard boots from its own last committed
@@ -26,27 +23,27 @@
 /// A *crash* — the `serve.shard.crash` chaos fail point or an admin
 /// `!kill` — tears down the VM on the shard thread and walks the same
 /// ladder again; requests already queued behind the crash are answered
-/// ERR rather than silently dropped, the channel and batcher survive, and
-/// every other shard keeps serving. A real panic() still aborts the
+/// ERR rather than silently dropped, the batcher survives, and every
+/// other shard keeps serving. A real panic() still aborts the
 /// process (shards share one address space by design — the paper's
 /// shared-memory image, multiplied); the chaos kill models the crash the
 /// way the snapshot fuzz lane models torn writes.
 ///
-/// While blocked in receive() the shard thread sits in a safepoint
+/// While waiting for a batch the shard thread sits in a safepoint
 /// BlockedRegion, so its periodic Checkpointer can stop that VM's world
 /// between batches.
 ///
 /// Durability (opt-in via ShardConfig::JournalPath; see serve/Journal.h):
-/// the courier write-ahead-logs every Eval and fsyncs once per batch
-/// before send; the shard appends an outcome record per resolved
-/// request; the crash ladder, after loading a checkpoint, replays
-/// journaled work past the checkpoint's covered position before
-/// reporting Ready — so a journaled shard's `!kill` loses nothing that
-/// was acknowledged. Journaled shards disable the *periodic* Checkpointer
-/// thread and instead checkpoint on the shard thread between batches
-/// (while the courier is parked in send), so the recorded journal mark
-/// is exact; truncation below the oldest retained generation's mark
-/// happens strictly after each checkpoint's rename lands.
+/// the shard write-ahead-logs every Eval and fsyncs once per batch before
+/// executing it, then appends an outcome record per resolved request; the
+/// crash ladder, after loading a checkpoint, replays journaled work past
+/// the checkpoint's covered position before reporting Ready — so a
+/// journaled shard's `!kill` loses nothing that was acknowledged.
+/// Journaled shards disable the *periodic* Checkpointer thread and
+/// instead checkpoint on the shard thread between batches, so the
+/// recorded journal mark is exact; truncation below the oldest retained
+/// generation's mark happens strictly after each checkpoint's rename
+/// lands.
 ///
 /// Deadlines: each shard runs a watchdog thread. The shard thread
 /// publishes the in-flight request's deadline (under AbortMutex) around
@@ -81,7 +78,6 @@
 #include "serve/Journal.h"
 #include "serve/RequestBatcher.h"
 #include "serve/ServeStats.h"
-#include "vkernel/IpcChannel.h"
 #include "vm/VirtualMachine.h"
 
 namespace mst {
@@ -101,16 +97,14 @@ struct ShardConfig {
   unsigned KeepGenerations = 2;
   /// Periodic auto-checkpoint interval; 0 = only explicit checkpoints.
   uint64_t CheckpointEveryMs = 0;
-  /// Largest batch one IpcChannel send may carry.
-  size_t MaxBatch = 256;
   /// How long the deadline watchdog waits for the VM to honor an armed
   /// abort before escalating to a shard reboot.
   uint64_t AbortGraceMs = 250;
   /// Write-ahead request journal path; empty disables journaling (the
-  /// default — a crash then rolls back to the last checkpoint exactly as
-  /// before PR 10). With a journal, the courier logs every Eval before
-  /// its batch crosses the channel and the crash ladder replays past the
-  /// checkpoint's covered position, so acknowledged requests survive.
+  /// default — a crash then rolls back to the last checkpoint). With a
+  /// journal, the shard logs every Eval before its batch executes and the
+  /// crash ladder replays past the checkpoint's covered position, so
+  /// acknowledged requests survive.
   std::string JournalPath;
   /// Per-request deadline for replayed intents whose outcome record was
   /// lost — bounds how long a torn-tail runaway can wedge a reboot.
@@ -120,8 +114,8 @@ struct ShardConfig {
 
 class Shard {
 public:
-  /// Called by the courier with a completed batch (every request Done or
-  /// marked failed). Runs on the courier thread; must not block long.
+  /// Called with a completed batch (every request Done). Runs on the
+  /// shard thread; must not block long.
   using ResponseSink = std::function<void(Batch &&)>;
 
   Shard(ShardConfig Config, ResponseSink Sink, ServeStats &Stats);
@@ -132,7 +126,7 @@ public:
   Shard(const Shard &) = delete;
   Shard &operator=(const Shard &) = delete;
 
-  /// Spawns the shard and courier threads; the shard thread boots the VM.
+  /// Spawns the shard and watchdog threads; the shard thread boots the VM.
   void start();
 
   /// Blocks until the first boot finished (or failed terminally).
@@ -143,9 +137,9 @@ public:
   /// caller answers the session with an error).
   bool submit(QueuedRequest R);
 
-  /// Graceful stop: drains the batcher (queued requests still complete),
-  /// retires the courier, shuts the channel down — the shard thread takes
-  /// a final checkpoint and destroys its VM — and joins both threads.
+  /// Graceful stop: closes the batcher; the shard thread completes every
+  /// queued request, takes a final checkpoint, and destroys its VM. Joins
+  /// both threads.
   void stop();
 
   /// Point-in-time health, readable from any thread.
@@ -155,7 +149,7 @@ public:
     uint64_t Generation = 0; ///< boots completed (1 = first boot)
     uint64_t Restarts = 0;   ///< crash/restart cycles
     uint64_t Requests = 0;   ///< requests this shard completed
-    uint64_t Batches = 0;    ///< batches this shard replied to
+    uint64_t Batches = 0;    ///< batches this shard completed
     uint64_t Checkpoints = 0;
     size_t QueueDepth = 0;   ///< requests waiting in the batcher
     uint64_t OldestQueuedMs = 0; ///< age of the oldest queued request
@@ -170,11 +164,13 @@ public:
   };
   Health health();
 
+  /// Requests waiting in the batcher (racy; telemetry/health use only).
+  size_t queueDepth() { return Batcher.depth(); }
+
   unsigned index() const { return Config.Index; }
 
 private:
   void shardMain();
-  void courierMain();
   void watchdogMain();
   void bootVm();
   void restartVm(const char *Why);
@@ -190,32 +186,31 @@ private:
 
   // --- write-ahead journal plumbing (no-ops when JournalPath is empty) ---
   bool journaled() const { return Jrnl != nullptr; }
-  /// Courier side, before send: answer dedup hits, refuse in-flight
+  /// Before a batch executes: answer dedup hits, refuse in-flight
   /// duplicates, append + fsync intent records for everything else.
   void prepareBatchJournal(Batch &B);
-  /// Courier side, after reply: clear in-flight marks and cache
-  /// completed (client, seq) responses.
+  /// After a batch executes: clear in-flight marks and cache completed
+  /// (client, seq) responses.
   void finishBatchJournal(Batch &B);
-  /// Shard side: record how \p Q resolved (also remembered in
-  /// Q.JournalOutcome for the courier's dedup insert).
+  /// Record how \p Q resolved (also remembered in Q.JournalOutcome for
+  /// finishBatchJournal's dedup insert).
   void appendOutcomeFor(QueuedRequest &Q, Journal::Outcome Out);
-  /// Shard side: fsync pending refusal outcomes (SkippedCrash /
-  /// SkippedExpired / TimedOut). A refusal tells the client "this did
-  /// not (fully) execute", so it must be durable before the response
-  /// escapes — otherwise a torn tail would make replay re-execute a
-  /// request the client was told to retry. Executed outcomes stay
-  /// unsynced on purpose: losing one only degrades replay to a
-  /// deterministic re-run.
+  /// Fsync pending refusal outcomes (SkippedCrash / SkippedExpired /
+  /// TimedOut). A refusal tells the client "this did not (fully)
+  /// execute", so it must be durable before the response escapes —
+  /// otherwise a torn tail would make replay re-execute a request the
+  /// client was told to retry. Executed outcomes stay unsynced on
+  /// purpose: losing one only degrades replay to a deterministic re-run.
   void syncRefusals();
-  /// Shard side, after image load: re-apply journaled intents at or past
-  /// \p Mark per their outcome records.
+  /// After image load: re-apply journaled intents at or past \p Mark per
+  /// their outcome records.
   void replayJournal(uint64_t Mark);
-  /// Shard side, after a successful checkpoint rename: compact the
-  /// journal below the oldest retained generation's mark.
+  /// After a successful checkpoint rename: compact the journal below the
+  /// oldest retained generation's mark.
   void commitJournalTruncate();
-  /// Shard side, between batches: periodic checkpoint for journaled
-  /// shards (their Checkpointer thread is disabled so the mark is always
-  /// read at a batch boundary).
+  /// Between batches: periodic checkpoint for journaled shards (their
+  /// Checkpointer thread is disabled so the mark is always read at a
+  /// batch boundary).
   void maybeAutoCheckpoint();
 
   ShardConfig Config;
@@ -223,9 +218,7 @@ private:
   ServeStats &Stats;
 
   RequestBatcher Batcher;
-  IpcChannel Channel;
   std::thread ShardThread;
-  std::thread CourierThread;
   std::thread WatchdogThread;
 
   /// The abort protocol between the shard thread and its watchdog. The
@@ -252,10 +245,8 @@ private:
   std::unique_ptr<Checkpointer> Ck;
 
   /// Write-ahead journal (null when disabled). Opened in start() before
-  /// either thread runs; after that the courier and shard threads take
-  /// strictly alternating turns on it (the courier is blocked in send()
-  /// whenever the shard appends, checkpoints, or truncates), and health()
-  /// only reads counters through the journal's own mutex.
+  /// the shard thread runs; after that only the shard thread writes it,
+  /// and health() only reads counters through the journal's own mutex.
   std::unique_ptr<Journal> Jrnl;
   DedupTable Dedup;
   /// Journal mark the in-progress checkpoint covers; shard thread only
@@ -263,7 +254,7 @@ private:
   /// callback on the same thread).
   uint64_t PendingMark = 0;
   /// A non-Executed outcome was appended since the last sync; shard
-  /// thread only (courier and shard strictly alternate on the journal).
+  /// thread only.
   bool RefusalPending = false;
   /// Marks of the last KeepGenerations+1 committed checkpoints, oldest
   /// first: truncation must stay below what the oldest *retained* rotated

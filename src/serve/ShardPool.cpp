@@ -29,11 +29,16 @@ ShardPool::ShardPool(const PoolConfig &Config, Shard::ResponseSink Sink,
     C.ReplayDeadlineMs = Config.ReplayDeadlineMs;
     C.KeepGenerations = Config.KeepGenerations;
     C.CheckpointEveryMs = Config.CheckpointEveryMs;
-    C.MaxBatch = Config.MaxBatch;
     C.AbortGraceMs = Config.AbortGraceMs;
     C.Vm = Config.Vm;
     Shards.push_back(std::make_unique<Shard>(C, Sink, Stats));
   }
+  QueueDepth = std::make_unique<Gauge>("serve.queue.depth", [this] {
+    uint64_t N = 0;
+    for (auto &S : Shards)
+      N += S->queueDepth();
+    return N;
+  });
 }
 
 bool ShardPool::start(double ReadyTimeoutSec, std::string &Error) {

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/Telemetry.h"
 #include "serve/Shard.h"
 
 namespace mst {
@@ -41,7 +42,6 @@ struct PoolConfig {
   bool Journal = false;
   /// Per-request deadline during journal replay.
   uint64_t ReplayDeadlineMs = 5000;
-  size_t MaxBatch = 256;
   /// Watchdog grace before a dishonored abort escalates to a reboot.
   uint64_t AbortGraceMs = 250;
   VmConfig Vm = VmConfig::multiprocessor(1);
@@ -76,6 +76,10 @@ public:
 
 private:
   std::vector<std::unique_ptr<Shard>> Shards;
+  /// `serve.queue.depth`: requests queued across every shard's batcher.
+  /// Registered once Shards is complete, so a concurrent telemetry read
+  /// never walks a half-built vector; destroyed before the shards.
+  std::unique_ptr<Gauge> QueueDepth;
   bool Stopped = false;
 };
 

@@ -6,9 +6,12 @@
 ///
 /// \file
 /// The V kernel's message-passing IPC in miniature: a synchronous
-/// Send/Receive/Reply channel. MS uses this (together with a global flag)
-/// to synchronize all interpreter processes for garbage collection, because
-/// scavenging takes too long for spin-locks (paper §3.1).
+/// Send/Receive/Reply channel. MS uses V's IPC (together with a global
+/// flag) to synchronize all interpreter processes for garbage collection,
+/// because scavenging takes too long for spin-locks (paper §3.1). This
+/// reproduction does that rendezvous with objmem's Safepoint instead; the
+/// channel is kept as the paper's primitive for its own tests, the IPC
+/// chaos storms, and bench_spinlock.
 ///
 /// Semantics follow V: Send blocks the sender until the receiver Replies;
 /// Receive blocks until a message is available and returns a handle the

@@ -73,7 +73,7 @@ TEST(RequestBatcher, CloseDrainsThenRefuses) {
   B.close();                           // idempotent
 }
 
-TEST(RequestBatcher, CloseWakesBlockedCourier) {
+TEST(RequestBatcher, CloseWakesBlockedConsumer) {
   RequestBatcher B;
   Batch Out;
   std::thread Closer([&] { B.close(); });

@@ -15,10 +15,12 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "image/Snapshot.h"
+#include "obs/Telemetry.h"
 #include "serve/Admin.h"
 #include "serve/Client.h"
 #include "serve/Server.h"
@@ -279,6 +281,34 @@ TEST_F(ServeTest, ProtocolErrorsAnswerWithoutKillingTheServer) {
   ASSERT_TRUE(C.eval("41 + 1", Ok, Value));
   EXPECT_TRUE(Ok);
   EXPECT_EQ(Value, "42");
+}
+
+// --- Periodic checkpoints ------------------------------------------------
+
+uint64_t autoCheckpointsTaken() {
+  for (const auto &[Name, Value] : Telemetry::counterTotals())
+    if (Name == "img.save.auto")
+      return Value;
+  return 0;
+}
+
+TEST(ServeCheckpoint, PeriodicCheckpointerStopsAnIdleShard) {
+  // A shard waiting for work must sit in a safepoint BlockedRegion, or its
+  // periodic Checkpointer can never stop that VM's world.
+  std::string DataDir = makeTempDir();
+  ServerConfig Config = testServerConfig(2, DataDir);
+  Config.Pool.CheckpointEveryMs = 50;
+  uint64_t Before = autoCheckpointsTaken();
+  Server S(std::move(Config));
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (autoCheckpointsTaken() - Before < 4 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_GE(autoCheckpointsTaken() - Before, 4u);
+  S.stop();
 }
 
 // --- Deadlines, runaway abort, and overload control ----------------------
