@@ -27,7 +27,6 @@
 #include "obs/Telemetry.h"
 #include "obs/TraceBuffer.h"
 #include "support/Format.h"
-#include "support/Stats.h"
 #include "vkernel/Chaos.h"
 #include "vm/VirtualMachine.h"
 

@@ -239,7 +239,8 @@ int main(int argc, char **argv) {
   }
   std::printf("bench_serve: %zu sessions connected (active=%llu)\n",
               Sessions,
-              static_cast<unsigned long long>(S.activeSessions()));
+              static_cast<unsigned long long>(
+                  S.stats().ActiveSessions.load()));
 
   TrafficTotals Totals;
   auto Start = std::chrono::steady_clock::now();

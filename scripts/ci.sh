@@ -12,6 +12,11 @@
 #
 # Configurations:
 #   release      Release build, quick suite (-L quick) — the tier-1 gate.
+#                Then builds perfbench/ (perfbench_driver and
+#                perfbench_tests) against that build, in perfbench's
+#                default build type (both keep assertions on), and runs
+#                its C++ and Python helper tests, so a program change that
+#                breaks the benchmark fails here.
 #   debug-chaos  Debug build, quick + stress suites with chaos enabled.
 #   tsan         ThreadSanitizer + chaos, quick + stress suites. The
 #                stress label includes the full-GC chaos storms
@@ -109,6 +114,13 @@ do_release() {
   configure release Release ""
   cmake --build build-ci/release -j "$JOBS"
   run_suite release quick
+
+  banner "release: perfbench against build-ci/release"
+  cmake -B build-ci/perfbench -S perfbench \
+    -DMST_BUILD_DIR="$PWD/build-ci/release" >/dev/null
+  cmake --build build-ci/perfbench -j "$JOBS"
+  build-ci/perfbench/perfbench_tests
+  python3 -B -m unittest discover -s perfbench/tests
 }
 
 do_debug_chaos() {

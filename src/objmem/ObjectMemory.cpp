@@ -16,7 +16,6 @@
 #include "obs/TraceBuffer.h"
 #include "support/Assert.h"
 #include "support/Panic.h"
-#include "support/Timer.h"
 #include "vkernel/Chaos.h"
 
 using namespace mst;
@@ -337,8 +336,6 @@ void ObjectMemory::performScavenge(bool AllowFullGc) {
   chaos::point("scavenge.start");
   TraceSpan Span("scavenge", "gc");
   uint64_t StartNs = Telemetry::nowNs();
-  Stopwatch Watch;
-  uint64_t EdenUsedNow = Eden.used();
 
   {
     std::lock_guard<std::mutex> Guard(RootsMutex);
@@ -356,26 +353,14 @@ void ObjectMemory::performScavenge(bool AllowFullGc) {
   Scavenger Scav(*this);
   Scav.run();
 
-  double Pause = Watch.seconds();
   PauseHist.record(Telemetry::nowNs() - StartNs);
   ScavengesCtr.add();
   BytesCopiedCtr.add(Scav.bytesCopied());
   BytesTenuredCtr.add(Scav.bytesTenured());
   TenuredBytesCtr.add(Scav.bytesTenured());
+  ObjectsCopiedCtr.add(Scav.objectsCopied());
+  ObjectsTenuredCtr.add(Scav.objectsTenured());
   Span.setArg(Scav.bytesCopied());
-  {
-    std::lock_guard<std::mutex> Guard(StatsMutex);
-    ++Stats.Scavenges;
-    Stats.LastPauseSec = Pause;
-    Stats.TotalPauseSec += Pause;
-    if (Pause > Stats.MaxPauseSec)
-      Stats.MaxPauseSec = Pause;
-    Stats.BytesCopied += Scav.bytesCopied();
-    Stats.BytesTenured += Scav.bytesTenured();
-    Stats.ObjectsCopied += Scav.objectsCopied();
-    Stats.ObjectsTenured += Scav.objectsTenured();
-    Stats.EdenBytesAllocated += EdenUsedNow;
-  }
 
   // The tenure-pressure trigger: when tenuring has pushed old space past
   // the armed threshold, reclaim tenured garbage in the same pause (the
@@ -399,26 +384,15 @@ void ObjectMemory::performFullGC() {
   chaos::point("fullgc.start");
   TraceSpan Span("fullgc", "gc");
   uint64_t StartNs = Telemetry::nowNs();
-  Stopwatch Watch;
 
   FullGC Collector(*this);
   Collector.run();
 
-  double Pause = Watch.seconds();
   FullPauseHist.record(Telemetry::nowNs() - StartNs);
   FullGcsCtr.add();
   FullSweptCtr.add(Collector.sweptBytes());
+  LastLiveBytes.store(Collector.liveBytes(), std::memory_order_relaxed);
   Span.setArg(Collector.sweptBytes());
-  {
-    std::lock_guard<std::mutex> Guard(StatsMutex);
-    ++FullStats.Collections;
-    FullStats.LastPauseSec = Pause;
-    FullStats.TotalPauseSec += Pause;
-    if (Pause > FullStats.MaxPauseSec)
-      FullStats.MaxPauseSec = Pause;
-    FullStats.SweptBytes += Collector.sweptBytes();
-    FullStats.LastLiveBytes = Collector.liveBytes();
-  }
 
   // Re-arm the trigger with headroom over the surviving live set so a
   // legitimately growing heap does not collect on every scavenge.
@@ -485,9 +459,8 @@ void ObjectMemory::maybeSignalLowSpace() {
 }
 
 std::string ObjectMemory::heapSummary() {
-  // Panic-path rendering: atomics only. The panicking thread may hold
-  // StatsMutex or be mid-GC, so no lock this function takes may be one
-  // the hot paths take.
+  // Panic-path rendering: atomics only. The panicking thread may be
+  // mid-GC or hold a heap lock, so this function takes no lock at all.
   auto Kb = [](size_t B) { return std::to_string(B / 1024) + " KiB"; };
   std::string Out;
   Out += "eden: " + Kb(Eden.used()) + " / " + Kb(Eden.capacity()) + "\n";
@@ -505,14 +478,30 @@ std::string ObjectMemory::heapSummary() {
   return Out;
 }
 
-ScavengeStats ObjectMemory::statsSnapshot() {
-  std::lock_guard<std::mutex> Guard(StatsMutex);
-  return Stats;
+namespace {
+double nsToSec(uint64_t Ns) { return static_cast<double>(Ns) * 1e-9; }
+} // namespace
+
+ScavengeStats ObjectMemory::statsSnapshot() const {
+  ScavengeStats S;
+  S.Scavenges = ScavengesCtr.value();
+  S.TotalPauseSec = nsToSec(PauseHist.sum());
+  S.MaxPauseSec = nsToSec(PauseHist.max());
+  S.BytesCopied = BytesCopiedCtr.value();
+  S.BytesTenured = BytesTenuredCtr.value();
+  S.ObjectsCopied = ObjectsCopiedCtr.value();
+  S.ObjectsTenured = ObjectsTenuredCtr.value();
+  return S;
 }
 
-FullGcStats ObjectMemory::fullGcStatsSnapshot() {
-  std::lock_guard<std::mutex> Guard(StatsMutex);
-  return FullStats;
+FullGcStats ObjectMemory::fullGcStatsSnapshot() const {
+  FullGcStats F;
+  F.Collections = FullGcsCtr.value();
+  F.TotalPauseSec = nsToSec(FullPauseHist.sum());
+  F.MaxPauseSec = nsToSec(FullPauseHist.max());
+  F.SweptBytes = FullSweptCtr.value();
+  F.LastLiveBytes = LastLiveBytes.load(std::memory_order_relaxed);
+  return F;
 }
 
 bool ObjectMemory::verifyHeap(std::string *Error) {

@@ -65,12 +65,12 @@ struct MutatorContext {
   HandleStack Handles;
 };
 
-/// Cumulative full-collection statistics (the mark-sweep collector for
-/// old space; see FullGC.h).
+/// Cumulative full-collection statistics of one heap (the mark-sweep
+/// collector for old space; see FullGC.h), read from its registry
+/// instances.
 struct FullGcStats {
   uint64_t Collections = 0;
   double TotalPauseSec = 0.0;
-  double LastPauseSec = 0.0;
   double MaxPauseSec = 0.0;
   /// Freshly dead old bytes returned to the free lists.
   uint64_t SweptBytes = 0;
@@ -78,20 +78,17 @@ struct FullGcStats {
   uint64_t LastLiveBytes = 0;
 };
 
-/// Cumulative scavenger statistics, for the §3.1 "3% of processor time"
-/// and r/s scavenge-frequency experiments.
+/// Cumulative scavenger statistics of one heap, for the §3.1 "3% of
+/// processor time" and r/s scavenge-frequency experiments, read from its
+/// registry instances.
 struct ScavengeStats {
   uint64_t Scavenges = 0;
   double TotalPauseSec = 0.0;
-  double LastPauseSec = 0.0;
   double MaxPauseSec = 0.0;
   uint64_t BytesCopied = 0;
   uint64_t BytesTenured = 0;
   uint64_t ObjectsCopied = 0;
   uint64_t ObjectsTenured = 0;
-  /// Eden bytes consumed over the lifetime of the heap (allocation rate r
-  /// integrates this over time).
-  uint64_t EdenBytesAllocated = 0;
 };
 
 /// The shared object memory.
@@ -290,11 +287,12 @@ public:
   /// failure describes the first violation in \p Error when given.
   bool verifyHeap(std::string *Error = nullptr);
 
-  /// \returns a snapshot of the scavenger statistics.
-  ScavengeStats statsSnapshot();
+  /// \returns this heap's scavenger statistics (racy but monotonic reads
+  /// of its counters and pause histogram).
+  ScavengeStats statsSnapshot() const;
 
-  /// \returns a snapshot of the full-collection statistics.
-  FullGcStats fullGcStatsSnapshot();
+  /// \returns this heap's full-collection statistics (same reads).
+  FullGcStats fullGcStatsSnapshot() const;
 
   /// \returns bytes currently used in eden (includes TLAB slack).
   size_t edenUsed() const { return Eden.used(); }
@@ -389,30 +387,32 @@ private:
   std::vector<RootWalker> RootWalkers;
   std::vector<std::function<void()>> PreScavengeHooks;
 
-  std::mutex StatsMutex;
-  ScavengeStats Stats;
-  FullGcStats FullStats;
-
   /// Old-space occupancy (bytes) that triggers the next automatic full
   /// collection; re-armed after every full GC from the survivors' size.
   /// Atomic only so diagnostics may read it racily; updates happen with
   /// the world stopped.
   std::atomic<size_t> FullGcTrigger;
 
-  /// Registry-visible GC telemetry (the StatsMutex-guarded ScavengeStats
-  /// above remains the precise per-VM record; these feed the process-wide
-  /// report and the bench JSON).
+  /// GC telemetry, this heap's only record of its collections. The
+  /// registry sums same-name instances across every heap in the process
+  /// (telemetry report, bench JSON); statsSnapshot(),
+  /// fullGcStatsSnapshot() and the VM's statisticsReport() read this
+  /// heap's instances alone. Written with the world stopped.
   Histogram PauseHist{"gc.scavenge.pause"};
   Histogram FullPauseHist{"gc.full.pause"};
   Counter ScavengesCtr{"gc.scavenges"};
   Counter BytesCopiedCtr{"gc.bytes.copied"};
   Counter BytesTenuredCtr{"gc.bytes.tenured"};
+  Counter ObjectsCopiedCtr{"gc.objects.copied"};
+  Counter ObjectsTenuredCtr{"gc.objects.tenured"};
   /// Total old-space pressure: scavenger tenuring plus oversized
   /// allocations that bypass eden — the same byte stream the full-GC
   /// trigger watches, so the telemetry report and the heuristic agree.
   Counter TenuredBytesCtr{"gc.tenured.bytes"};
   Counter FullGcsCtr{"gc.full.collections"};
   Counter FullSweptCtr{"gc.full.swept.bytes"};
+  /// Old bytes surviving the most recent full collection.
+  std::atomic<uint64_t> LastLiveBytes{0};
   Gauge EdenUsedGauge{"mem.eden.used", [this] { return edenUsed(); }};
   Gauge OldUsedGauge{"mem.old.used", [this] { return oldSpaceUsed(); }};
   Gauge OldFreeGauge{"mem.old.free", [this] { return oldSpaceFree(); }};

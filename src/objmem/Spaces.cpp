@@ -37,6 +37,14 @@ size_t freeListIndex(size_t Bytes) {
 } // namespace
 
 void OldSpace::pushFreeBlockLocked(uint8_t *P, size_t Bytes) {
+  linkFreeBlockLocked(P, Bytes);
+  auto *H = reinterpret_cast<ObjectHeader *>(P);
+  auto *Body = reinterpret_cast<uint64_t *>(H + 1);
+  for (uint32_t I = 0; I < H->SlotCount; ++I)
+    Body[I] = FreeZapWord;
+}
+
+void OldSpace::linkFreeBlockLocked(uint8_t *P, size_t Bytes) {
   assert(Bytes >= MinBlockBytes && Bytes % 8 == 0 && "bad free block size");
   size_t Idx = freeListIndex(Bytes);
   auto *H = reinterpret_cast<ObjectHeader *>(P);
@@ -49,9 +57,6 @@ void OldSpace::pushFreeBlockLocked(uint8_t *P, size_t Bytes) {
   H->Flags.store(0, std::memory_order_relaxed);
   H->Age = 0;
   H->Unused = 0;
-  auto *Body = reinterpret_cast<uint64_t *>(H + 1);
-  for (uint32_t I = 0; I < H->SlotCount; ++I)
-    Body[I] = FreeZapWord;
   FreeHeads[Idx] = P;
   FreeBytes.fetch_add(Bytes, std::memory_order_relaxed);
 }
@@ -63,7 +68,7 @@ uint8_t *OldSpace::splitFreeBlock(uint8_t *Block, size_t BlockBytes,
   assert((Remainder == 0 || Remainder >= MinBlockBytes) &&
          "split would strand an unparseable sliver");
   if (Remainder)
-    pushFreeBlockLocked(Block + Bytes, Remainder);
+    linkFreeBlockLocked(Block + Bytes, Remainder);
   return Block;
 }
 

@@ -83,8 +83,11 @@ private:
 ///
 /// Free-list format: each free block is a dead object rewritten in place to
 /// ObjectFormat::Free — the header's class word carries the raw next-block
-/// pointer, the body is filled with FreeZapWord (see ObjectHeader.h). Exact
-/// size classes cover blocks up to OverflowClassBytes in 8-byte steps; one
+/// pointer, the body is filled with FreeZapWord (see ObjectHeader.h). The
+/// body is zap-filled once, when the block is formatted (sweep, chunk-tail
+/// donation); a split writes only the remainder's header, because the
+/// remainder lies inside a body that is already zap-filled. Exact size
+/// classes cover blocks up to OverflowClassBytes in 8-byte steps; one
 /// overflow list holds everything larger, allocated first-fit with a split.
 class OldSpace {
 public:
@@ -193,11 +196,18 @@ private:
   /// ceiling refusal and the injected growth fault.
   uint8_t *allocateImpl(size_t Bytes, bool OverCeiling);
 
-  /// Formats and threads a free block onto the fitting list. Lock held.
+  /// Formats a free block (header and zap-filled body) and threads it
+  /// onto the fitting list. Lock held.
   void pushFreeBlockLocked(uint8_t *P, size_t Bytes);
 
+  /// Writes a free-block header at \p P and threads it onto the fitting
+  /// list; the body must already be zap-filled. Lock held.
+  void linkFreeBlockLocked(uint8_t *P, size_t Bytes);
+
   /// Carves \p Bytes off the front of free block \p Block (of \p BlockBytes
-  /// total), returning any usable remainder to the lists. Lock held.
+  /// total), returning any usable remainder to the lists. The remainder's
+  /// body is already zap-filled, so only its header is written: O(1) no
+  /// matter how large the block. Lock held.
   uint8_t *splitFreeBlock(uint8_t *Block, size_t BlockBytes, size_t Bytes);
 
   /// Pops a fitting free block, or nullptr. Lock held.

@@ -42,19 +42,7 @@ Histogram::~Histogram() {
     Telemetry::unregisterHistogram(this);
 }
 
-Histogram::Histogram(const Histogram &Other) { copyFrom(Other); }
-
-Histogram &Histogram::operator=(const Histogram &Other) {
-  if (this == &Other)
-    return *this;
-  // An assigned-to histogram keeps its (possibly registered) identity but
-  // takes the other's values; simplest correct behaviour for the
-  // value-semantics use in RunningStats, which never registers.
-  copyFrom(Other);
-  return *this;
-}
-
-void Histogram::copyFrom(const Histogram &Other) {
+Histogram::Histogram(const Histogram &Other) {
   Unit = Other.Unit;
   for (unsigned I = 0; I < NumBuckets; ++I)
     Buckets[I].store(Other.Buckets[I].load(std::memory_order_relaxed),

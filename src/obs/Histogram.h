@@ -38,7 +38,7 @@ public:
   /// Copies values only; the copy is always unregistered (a registered
   /// copy would double-count its original in the registry).
   Histogram(const Histogram &Other);
-  Histogram &operator=(const Histogram &Other);
+  Histogram &operator=(const Histogram &) = delete;
 
   /// Records one sample.
   void record(uint64_t Value);
@@ -90,8 +90,6 @@ private:
   static unsigned bucketIndex(uint64_t V);
   /// \returns the inclusive lower bound and width of bucket \p Idx.
   static void bucketRange(unsigned Idx, uint64_t &Low, uint64_t &Width);
-
-  void copyFrom(const Histogram &Other);
 
   std::atomic<uint64_t> Buckets[NumBuckets];
   std::atomic<uint64_t> N{0};

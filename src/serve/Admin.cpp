@@ -72,17 +72,22 @@ std::string serve::buildHealthJson(ShardPool &Pool, ServeStats &Stats,
                                        *Gates) {
   std::string Out = "{\"shards\":[";
   bool First = true;
-  uint64_t QueueDepth = 0;
+  uint64_t QueueDepth = 0, Requests = 0, Batches = 0;
+  uint64_t Errors = Stats.Errors.value(); // the front-end's own ERRs
   for (const Shard::Health &H : Pool.health()) {
     if (!First)
       Out += ',';
     First = false;
     QueueDepth += H.QueueDepth;
+    Requests += H.Requests;
+    Errors += H.Errors;
+    Batches += H.Batches;
     Out += "{\"id\":" + std::to_string(H.Index) + ",\"state\":";
     jsonStringTo(Out, H.State);
     Out += ",\"generation\":" + std::to_string(H.Generation) +
            ",\"restarts\":" + std::to_string(H.Restarts) +
            ",\"requests\":" + std::to_string(H.Requests) +
+           ",\"errors\":" + std::to_string(H.Errors) +
            ",\"batches\":" + std::to_string(H.Batches) +
            ",\"checkpoints\":" + std::to_string(H.Checkpoints) +
            ",\"queue_depth\":" + std::to_string(H.QueueDepth) +
@@ -111,10 +116,9 @@ std::string serve::buildHealthJson(ShardPool &Pool, ServeStats &Stats,
   Out += "],\"sessions\":{\"active\":" +
          std::to_string(Stats.ActiveSessions.load()) +
          ",\"total\":" + std::to_string(Stats.TotalSessions.load()) +
-         "},\"requests\":{\"completed\":" +
-         std::to_string(Stats.Requests.value()) +
-         ",\"errors\":" + std::to_string(Stats.Errors.value()) +
-         ",\"batches\":" + std::to_string(Stats.Batches.value()) +
+         "},\"requests\":{\"completed\":" + std::to_string(Requests) +
+         ",\"errors\":" + std::to_string(Errors) +
+         ",\"batches\":" + std::to_string(Batches) +
          ",\"queued\":" + std::to_string(QueueDepth) +
          "},\"profiler\":" + profilerBreakdownJson() +
          ",\"telemetry\":" + Telemetry::toJson(Telemetry::snapshot()) +

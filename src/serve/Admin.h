@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The `!health` report: one JSON object aggregating the whole serving
-/// process — per-shard state (generation, restarts, requests, queue
-/// depth, checkpoints), session counts, the sampling profiler's per-shard
+/// process — per-shard state (generation, restarts, requests, errors,
+/// queue depth, checkpoints), session counts, request totals (the shards'
+/// sums plus the front-end's own errors), the sampling profiler's per-shard
 /// state breakdown (running / lock-wait / gc / ipc-wait sample counts,
 /// resolvable without touching any shard's heap), and the full telemetry
 /// registry snapshot (serve.* counters, gc pause histograms, everything
@@ -38,8 +39,10 @@ struct ShardGateView {
   uint64_t ConsecTimeouts = 0;
 };
 
-/// Renders the one-line aggregate health JSON. \p Gates, when non-null,
-/// is indexed by shard id (the caller guarantees one entry per shard).
+/// Renders the one-line aggregate health JSON. \p Stats is the
+/// front-end's; each shard's counts come from Pool. \p Gates, when
+/// non-null, is indexed by shard id (the caller guarantees one entry per
+/// shard).
 std::string buildHealthJson(ShardPool &Pool, ServeStats &Stats,
                             const std::vector<ShardGateView> *Gates =
                                 nullptr);

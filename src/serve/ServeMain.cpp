@@ -126,7 +126,10 @@ int main(int argc, char **argv) {
     }
   }
   S.stop();
+  uint64_t Served = 0;
+  for (const Shard::Health &H : S.pool().health())
+    Served += H.Requests;
   std::printf("mst_serve: drained, %llu requests served; bye\n",
-              static_cast<unsigned long long>(S.stats().Requests.value()));
+              static_cast<unsigned long long>(Served));
   return 0;
 }

@@ -5,23 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serving layer's registry entries, gathered in one struct owned by
-/// the Server so every shard increments the same instances. All
-/// of them aggregate by name through the process-wide Telemetry registry,
-/// so they appear in writeTelemetryJson, the admin health report, and the
-/// BENCH_*.json artifacts without further plumbing:
+/// The serving layer's registry entries, split by owner so every event is
+/// counted exactly once. Each Shard owns a ShardStats and counts what its
+/// shard and watchdog threads do; Shard::health() reads the same
+/// instances. The Server owns one ServeStats for what the front-end
+/// answers itself. The process-wide Telemetry registry sums same-name
+/// instances (and merges same-name histograms), so writeTelemetryJson, the
+/// admin health report, and the BENCH_*.json artifacts see one
+/// process-wide total per name:
 ///
-///   serve.requests          requests completed (counter)
-///   serve.errors            requests answered ERR (counter)
-///   serve.batches           batches shards took off their queues (counter)
+///   ShardStats (one per shard):
+///   serve.requests          requests a shard answered: evaluated,
+///                           expired, dedup answers and journal refusals
+///                           (counter)
+///   serve.errors            of those, plus requests failed by a crash,
+///                           the ones answered ERR (counter)
 ///   serve.shard.restarts    shard crash/restart cycles (counter)
 ///   serve.deadline.expired  request deadlines that expired (counter)
 ///   serve.aborts            in-VM aborts delivered to runaways (counter)
 ///   serve.aborts.escalated  aborts the VM never honored: the watchdog
 ///                           escalated to a shard reboot (counter)
-///   serve.shed              requests fast-failed "ERR overloaded" by
-///                           admission control / the breaker (counter)
-///   serve.breaker.open      circuit-breaker open transitions (counter)
 ///   serve.dedup.hits        retries answered from the dedup table
 ///                           instead of re-executing (counter)
 ///   serve.replayed          journaled requests re-applied during
@@ -35,12 +38,23 @@
 ///                           gracefully)
 ///   serve.journal.truncations      checkpoint-commit compactions
 ///   serve.journal.torn      torn tails repaired at journal open
-///   serve.sessions.active   open client sessions (gauge)
-///   serve.queue.depth       requests queued across all batchers (gauge,
-///                           registered by the ShardPool)
-///   serve.batch.size        requests per batch (histogram, unit "reqs")
+///   serve.batch.size        requests per batch (histogram, unit "reqs");
+///                           its sample count is the batch count
 ///   serve.latency           enqueue-to-completion latency (histogram, ns)
 ///   serve.queue.wait        enqueue-to-eval-start wait (histogram, ns)
+///
+///   ServeStats (one per Server, front-end event loop):
+///   serve.errors            requests the front-end answered ERR itself:
+///                           bad lines, refused re-binds, shed requests,
+///                           unbound ?seq=, submits to a stopping shard
+///                           (counter)
+///   serve.shed              requests fast-failed "ERR overloaded" by
+///                           admission control / the breaker (counter)
+///   serve.breaker.open      circuit-breaker open transitions (counter)
+///   serve.sessions.active   open client sessions (gauge)
+///
+///   ShardPool:
+///   serve.queue.depth       requests queued across all batchers (gauge)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,16 +70,13 @@
 namespace mst {
 namespace serve {
 
-struct ServeStats {
+struct ShardStats {
   Counter Requests{"serve.requests"};
   Counter Errors{"serve.errors"};
-  Counter Batches{"serve.batches"};
   Counter Restarts{"serve.shard.restarts"};
   Counter DeadlineExpired{"serve.deadline.expired"};
   Counter Aborts{"serve.aborts"};
   Counter AbortsEscalated{"serve.aborts.escalated"};
-  Counter Shed{"serve.shed"};
-  Counter BreakerOpen{"serve.breaker.open"};
   Counter DedupHits{"serve.dedup.hits"};
   Counter Replayed{"serve.replayed"};
   Counter JournalAppends{"serve.journal.appends"};
@@ -77,6 +88,12 @@ struct ServeStats {
   Histogram BatchSize{"serve.batch.size", "reqs"};
   Histogram Latency{"serve.latency"};
   Histogram QueueWait{"serve.queue.wait"};
+};
+
+struct ServeStats {
+  Counter Errors{"serve.errors"};
+  Counter Shed{"serve.shed"};
+  Counter BreakerOpen{"serve.breaker.open"};
 
   std::atomic<uint64_t> ActiveSessions{0};
   std::atomic<uint64_t> TotalSessions{0};

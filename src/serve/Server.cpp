@@ -42,16 +42,13 @@ Server::~Server() { stop(); }
 bool Server::start(std::string &Error) {
   // Shard threads publish finished batches here; the pipe write makes
   // poll() return so the loop can flush them to sockets.
-  Pool = std::make_unique<ShardPool>(
-      Config.Pool,
-      [this](Batch &&B) {
-        {
-          std::lock_guard<std::mutex> Lock(RespMutex);
-          Responses.push_back(std::move(B));
-        }
-        wake();
-      },
-      Stats);
+  Pool = std::make_unique<ShardPool>(Config.Pool, [this](Batch &&B) {
+    {
+      std::lock_guard<std::mutex> Lock(RespMutex);
+      Responses.push_back(std::move(B));
+    }
+    wake();
+  });
   if (!Pool->start(Config.ReadyTimeoutSec, Error)) {
     Pool->stop();
     return false;

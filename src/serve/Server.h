@@ -101,10 +101,6 @@ public:
   ServeStats &stats() { return Stats; }
   ShardPool &pool() { return *Pool; }
 
-  uint64_t activeSessions() const {
-    return Stats.ActiveSessions.load(std::memory_order_relaxed);
-  }
-
 private:
   void loopMain();
   void acceptReady();

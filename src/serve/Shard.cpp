@@ -24,8 +24,8 @@ bool fileExists(const std::string &Path) {
 }
 } // namespace
 
-Shard::Shard(ShardConfig Config, ResponseSink Sink, ServeStats &Stats)
-    : Config(std::move(Config)), Sink(std::move(Sink)), Stats(Stats) {}
+Shard::Shard(ShardConfig Config, ResponseSink Sink)
+    : Config(std::move(Config)), Sink(std::move(Sink)) {}
 
 Shard::~Shard() { stop(); }
 
@@ -89,9 +89,10 @@ Shard::Health Shard::health() {
   Health H;
   H.Index = Config.Index;
   H.Generation = Generation.load(std::memory_order_relaxed);
-  H.Restarts = RestartCount.load(std::memory_order_relaxed);
-  H.Requests = RequestCount.load(std::memory_order_relaxed);
-  H.Batches = BatchCount.load(std::memory_order_relaxed);
+  H.Restarts = Stats.Restarts.value();
+  H.Requests = Stats.Requests.value();
+  H.Errors = Stats.Errors.value();
+  H.Batches = Stats.BatchSize.count();
   H.Checkpoints = CheckpointCount.load(std::memory_order_relaxed);
   H.QueueDepth = queueDepth();
   uint64_t Oldest = Batcher.oldestEnqueueNs();
@@ -99,15 +100,14 @@ Shard::Health Shard::health() {
     uint64_t Now = Telemetry::nowNs();
     H.OldestQueuedMs = Now > Oldest ? (Now - Oldest) / 1000000 : 0;
   }
-  H.DeadlineExpired =
-      DeadlineExpiredCount.load(std::memory_order_relaxed);
-  H.Aborts = AbortCount.load(std::memory_order_relaxed);
-  H.AbortsEscalated = EscalatedCount.load(std::memory_order_relaxed);
+  H.DeadlineExpired = Stats.DeadlineExpired.value();
+  H.Aborts = Stats.Aborts.value();
+  H.AbortsEscalated = Stats.AbortsEscalated.value();
   if (Jrnl)
     H.JournalBytes = Jrnl->bytes();
-  H.Replayed = ReplayedCount.load(std::memory_order_relaxed);
+  H.Replayed = Stats.Replayed.value();
   H.DedupSize = Dedup.size();
-  H.DedupHits = DedupHitCount.load(std::memory_order_relaxed);
+  H.DedupHits = Stats.DedupHits.value();
   std::lock_guard<std::mutex> G(StateMutex);
   H.State = State;
   H.LastError = LastError;
@@ -212,7 +212,6 @@ void Shard::restartVm(const char *Why) {
             "); restarting from last committed snapshot");
   if (Ck)
     CkTakenBase += Ck->checkpointsTaken();
-  RestartCount.fetch_add(1, std::memory_order_relaxed);
   Stats.Restarts.add();
   if (journaled() && chaos::failPoint("journal.tear")) {
     // Torn-tail drill: a real crash can lose whatever the last fsync
@@ -359,10 +358,8 @@ bool Shard::evalRequest(QueuedRequest &Q) {
               "(queued " +
               std::to_string((Now - Q.EnqueueNs) / 1000000) + "ms)";
     Stats.DeadlineExpired.add();
-    DeadlineExpiredCount.fetch_add(1, std::memory_order_relaxed);
     Stats.Requests.add();
     Stats.Errors.add();
-    RequestCount.fetch_add(1, std::memory_order_relaxed);
     // Never ran: replay must skip it, and a retry should re-execute.
     appendOutcomeFor(Q, Journal::Outcome::SkippedExpired);
     return true;
@@ -411,14 +408,11 @@ bool Shard::evalRequest(QueuedRequest &Q) {
               std::to_string(Config.Index) +
               " rebooting from its last committed checkpoint";
   }
-  if (Q.TimedOut) {
+  if (Q.TimedOut)
     Stats.DeadlineExpired.add();
-    DeadlineExpiredCount.fetch_add(1, std::memory_order_relaxed);
-  }
   Stats.Requests.add();
   if (!Q.Ok)
     Stats.Errors.add();
-  RequestCount.fetch_add(1, std::memory_order_relaxed);
   // TimedOut (aborted mid-run or escalated) still consumed VM state up
   // to the unwind, and re-running a runaway would wedge the reboot —
   // replay answers the recorded ERR instead of re-executing.
@@ -450,13 +444,11 @@ void Shard::watchdogMain() {
         // escalation below is what recovers the shard.
         VM->requestAbort();
         Stats.Aborts.add();
-        AbortCount.fetch_add(1, std::memory_order_relaxed);
       }
     } else if (!EscalateFired && ArmedToken == InFlightToken &&
                Now >= EscalateAtNs) {
       EscalateFired = true;
       Stats.AbortsEscalated.add();
-      EscalatedCount.fetch_add(1, std::memory_order_relaxed);
       // Stop flag, no join: the evaluation returns at its next poll and
       // the shard thread reboots its VM on its own thread.
       VM->requestStop();
@@ -504,7 +496,6 @@ void Shard::shardMain() {
       if (!Batcher.takeBatch(B, MaxBatch))
         break; // closed and drained: graceful exit
     }
-    Stats.Batches.add();
     Stats.BatchSize.record(B.size());
     // WAL discipline: every Eval's intent is on disk (and fsynced, once
     // for the whole batch) before any request in the batch executes — an
@@ -519,7 +510,6 @@ void Shard::shardMain() {
     // journal is quiescent, so the recorded mark covers exactly what the
     // image contains.
     maybeAutoCheckpoint();
-    BatchCount.fetch_add(1, std::memory_order_relaxed);
     uint64_t Now = Telemetry::nowNs();
     for (const QueuedRequest &Q : B)
       Stats.Latency.record(Now - Q.EnqueueNs);
@@ -562,7 +552,6 @@ void Shard::prepareBatchJournal(Batch &B) {
         Q.TimedOut = R.TimedOut;
         Q.Value = std::move(R.Value);
         Stats.DedupHits.add();
-        DedupHitCount.fetch_add(1, std::memory_order_relaxed);
         Stats.Requests.add();
         if (!Q.Ok)
           Stats.Errors.add();
@@ -703,7 +692,6 @@ void Shard::replayJournal(uint64_t Mark) {
           Telemetry::nowNs() + Config.ReplayDeadlineMs * 1000000;
       VirtualMachine::EvalResult Res =
           VM->evalWithDeadline(E.Source, DeadlineNs);
-      ReplayedCount.fetch_add(1, std::memory_order_relaxed);
       Stats.Replayed.add();
       if (E.Out == Journal::Outcome::Executed) {
         // The acknowledged response is canonical — what the client was

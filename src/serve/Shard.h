@@ -118,7 +118,7 @@ public:
   /// shard thread; must not block long.
   using ResponseSink = std::function<void(Batch &&)>;
 
-  Shard(ShardConfig Config, ResponseSink Sink, ServeStats &Stats);
+  Shard(ShardConfig Config, ResponseSink Sink);
 
   /// stop() must have run (the Server guarantees it).
   ~Shard();
@@ -148,8 +148,11 @@ public:
     std::string State;       ///< "booting" | "serving" | "restarting" | "stopped"
     uint64_t Generation = 0; ///< boots completed (1 = first boot)
     uint64_t Restarts = 0;   ///< crash/restart cycles
-    uint64_t Requests = 0;   ///< requests this shard completed
-    uint64_t Batches = 0;    ///< batches this shard completed
+    /// Requests this shard answered, dedup answers and journal refusals
+    /// included (not those a crash failed).
+    uint64_t Requests = 0;
+    uint64_t Errors = 0;     ///< ERR answers, crash failures included
+    uint64_t Batches = 0;    ///< batches this shard took
     uint64_t Checkpoints = 0;
     size_t QueueDepth = 0;   ///< requests waiting in the batcher
     uint64_t OldestQueuedMs = 0; ///< age of the oldest queued request
@@ -215,7 +218,9 @@ private:
 
   ShardConfig Config;
   ResponseSink Sink;
-  ServeStats &Stats;
+  /// This shard's registry instances: the counts health() reports, and
+  /// this shard's share of every serve.* total.
+  ShardStats Stats;
 
   RequestBatcher Batcher;
   std::thread ShardThread;
@@ -240,7 +245,7 @@ private:
   uint64_t EscalateAtNs = 0;
   bool WatchdogStop = false; ///< set by stop() after the shard joined
 
-  // Shard-thread-owned; other threads only observe the atomics below.
+  // Shard-thread-owned.
   std::unique_ptr<VirtualMachine> VM;
   std::unique_ptr<Checkpointer> Ck;
 
@@ -269,15 +274,7 @@ private:
 
   std::atomic<bool> Stopping{false};
   std::atomic<uint64_t> Generation{0};
-  std::atomic<uint64_t> RestartCount{0};
-  std::atomic<uint64_t> RequestCount{0};
-  std::atomic<uint64_t> BatchCount{0};
   std::atomic<uint64_t> CheckpointCount{0};
-  std::atomic<uint64_t> DeadlineExpiredCount{0};
-  std::atomic<uint64_t> AbortCount{0};
-  std::atomic<uint64_t> EscalatedCount{0};
-  std::atomic<uint64_t> ReplayedCount{0};
-  std::atomic<uint64_t> DedupHitCount{0};
   /// Checkpoints taken by Checkpointers of earlier generations (each
   /// restart builds a fresh one). Shard thread only.
   uint64_t CkTakenBase = 0;

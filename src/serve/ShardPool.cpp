@@ -11,8 +11,7 @@
 using namespace mst;
 using namespace mst::serve;
 
-ShardPool::ShardPool(const PoolConfig &Config, Shard::ResponseSink Sink,
-                     ServeStats &Stats) {
+ShardPool::ShardPool(const PoolConfig &Config, Shard::ResponseSink Sink) {
   unsigned N = Config.Shards ? Config.Shards : 1;
   Shards.reserve(N);
   for (unsigned I = 0; I < N; ++I) {
@@ -31,7 +30,7 @@ ShardPool::ShardPool(const PoolConfig &Config, Shard::ResponseSink Sink,
     C.CheckpointEveryMs = Config.CheckpointEveryMs;
     C.AbortGraceMs = Config.AbortGraceMs;
     C.Vm = Config.Vm;
-    Shards.push_back(std::make_unique<Shard>(C, Sink, Stats));
+    Shards.push_back(std::make_unique<Shard>(C, Sink));
   }
   QueueDepth = std::make_unique<Gauge>("serve.queue.depth", [this] {
     uint64_t N = 0;

@@ -49,8 +49,7 @@ struct PoolConfig {
 
 class ShardPool {
 public:
-  ShardPool(const PoolConfig &Config, Shard::ResponseSink Sink,
-            ServeStats &Stats);
+  ShardPool(const PoolConfig &Config, Shard::ResponseSink Sink);
 
   /// Boots every shard (concurrently; each shard thread loads its own
   /// image). \returns false if any shard failed to come up in time.

@@ -11,6 +11,7 @@
 #include "TestVm.h"
 #include "objmem/ObjectMemory.h"
 #include "obs/Telemetry.h"
+#include "support/Timer.h"
 
 using namespace mst;
 
@@ -219,6 +220,37 @@ TEST_F(FullGCTest, TriggerHeuristicBoundsOldSpace) {
   EXPECT_LT(BoundedPeak, UnboundedPeak / 2)
       << "full GC failed to bound old-space growth (bounded peak "
       << BoundedPeak << ", unbounded " << UnboundedPeak << ")";
+}
+
+TEST_F(FullGCTest, SmallAllocationsSplitLargeFreeRunsCheaply) {
+  // A collection that frees tens of MB coalesces them into chunk-sized
+  // free runs, and every small old allocation afterwards splits one. The
+  // split must write only the remainder's header: re-zapping the
+  // remainder's body would rewrite up to a whole 8 MB run per
+  // allocation, under the old-space lock.
+  std::thread([] {
+    ObjectMemory OM{MemoryConfig()}; // default 8 MB old-space chunks
+    OM.registerMutator("split-cost");
+    Oop Nil = OM.allocateOldPointers(Oop(), 0);
+    OM.setNil(Nil);
+    Oop Cls = OM.allocateOldPointers(Nil, 0);
+    const size_t ObjBytes = sizeof(ObjectHeader) + 8 * sizeof(Oop);
+    for (size_t Made = 0; Made < (32u << 20); Made += ObjBytes)
+      (void)OM.allocateOldPointers(Cls, 8); // unreachable at once
+    OM.fullCollect();
+    EXPECT_GE(OM.oldSpaceFree(), 30u << 20) << "garbage was not swept";
+
+    Stopwatch Watch;
+    for (int I = 0; I < 10000; ++I)
+      (void)OM.allocateOldPointers(Cls, 8);
+    double Sec = Watch.seconds();
+    EXPECT_LT(Sec, 1.0) << "10k small old allocations after a 32 MB "
+                           "collection took "
+                        << Sec << " s";
+    std::string Error;
+    EXPECT_TRUE(OM.verifyHeap(&Error)) << Error;
+    OM.unregisterMutator();
+  }).join();
 }
 
 TEST_F(FullGCTest, TenuredBytesCounterTracksOldPressure) {
