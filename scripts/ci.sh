@@ -16,7 +16,12 @@
 #                perfbench_tests) against that build, in perfbench's
 #                default build type (both keep assertions on), and runs
 #                its C++ and Python helper tests, so a program change that
-#                breaks the benchmark fails here.
+#                breaks the benchmark fails here. Last, the heap-ceiling
+#                run: mst_serve with four journaled shards under a 16 MiB
+#                MST_MAX_HEAP_BYTES must answer all 300,000 warm-up
+#                requests of perfbench_driver's serve_small load and exit
+#                0 within 30 s of SIGTERM, so serving under a heap ceiling
+#                stays crash-free.
 #   debug-chaos  Debug build, quick + stress suites with chaos enabled.
 #   tsan         ThreadSanitizer + chaos, quick + stress suites. The
 #                stress label includes the full-GC chaos storms
@@ -121,6 +126,64 @@ do_release() {
   cmake --build build-ci/perfbench -j "$JOBS"
   build-ci/perfbench/perfbench_tests
   python3 -B -m unittest discover -s perfbench/tests
+
+  banner "release: mst_serve under a 16 MiB heap ceiling"
+  heap_ceiling_run
+}
+
+# The daemon bootstraps its shards itself (no --image), takes the
+# serve_small load on an ephemeral port, and must drain cleanly.
+heap_ceiling_run() {
+  local out=build-ci/release/heap-ceiling warmup=300000
+  rm -rf "$out"
+  mkdir -p "$out/data"
+  MST_MAX_HEAP_BYTES=16777216 build-ci/release/src/serve/mst_serve \
+    --port=0 --shards=4 --data-dir="$out/data" --journal \
+    >"$out/serve.log" 2>&1 &
+  local pid=$! port="" status=0
+  for _ in $(seq 300); do
+    port=$(sed -n 's/.*serving on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
+      "$out/serve.log")
+    [ -n "$port" ] && break
+    sleep 0.1
+  done
+  if [ -n "$port" ]; then
+    build-ci/perfbench/perfbench_driver loadgen --port="$port" \
+      --server-pid="$pid" --workload=serve_small --seed=1 \
+      --warmup="$warmup" --rate=10 --paced=10 --closed=10 \
+      >"$out/loadgen.json" || true
+  fi
+  # The drain gets 30 s; a daemon still alive then is killed and fails
+  # the step instead of hanging the lane.
+  kill -TERM "$pid" 2>/dev/null || true
+  for _ in $(seq 300); do
+    kill -0 "$pid" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "$pid" 2>/dev/null; then
+    kill -KILL "$pid" 2>/dev/null || true
+    wait "$pid" 2>/dev/null || true
+    status=hung
+  else
+    wait "$pid" || status=$?
+  fi
+  python3 - "$out/loadgen.json" "$warmup" "$status" <<'PYEOF'
+import json, sys
+
+path, warmup, status = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+try:
+    with open(path) as f:
+        doc = json.loads(f.read().strip().splitlines()[-1])
+except (OSError, ValueError, IndexError):
+    doc = {"problem": "no load-generator result"}
+ok = doc.get("phases", {}).get("warmup", {}).get("ok", 0)
+exit_text = ("did not exit on SIGTERM within 30 s (killed)"
+             if status == "hung" else f"exit {status}")
+print(f"heap ceiling: {ok}/{warmup} warm-up answers OK, "
+      f"problem {doc.get('problem')!r}, mst_serve {exit_text}")
+if ok != warmup or doc.get("problem") or status != "0":
+    sys.exit(1)
+PYEOF
 }
 
 do_debug_chaos() {

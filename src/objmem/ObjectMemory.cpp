@@ -251,10 +251,12 @@ Oop ObjectMemory::allocateOld(Oop Cls, uint32_t Slots, ObjectFormat Format,
   uint8_t *Mem = Old.allocate(Total);
   if (!Mem) {
     // allocateOld carries a never-scavenges contract — callers (bootstrap,
-    // kernel construction, the compiler, symbol interning) hold raw oops a
-    // moving collection would invalidate — so no recovery rung is sound
-    // here. These allocations are small and bounded by the program text,
-    // so overshoot the ceiling rather than panic; the pressure ladder
+    // kernel construction, method definitions and literal objects in the
+    // compiler, symbol interning) hold raw oops a moving collection would
+    // invalidate — so no recovery rung is sound here. These allocations
+    // are small: method definitions are bounded by the program text, and
+    // a doIt (compiled into eden) adds only its literal objects. So
+    // overshoot the ceiling rather than panic; the pressure ladder
     // refuses ordinary mutator work until usage drops back below it.
     Mem = Old.allocateOverCeiling(Total);
     OvershootCtr.add(Total);

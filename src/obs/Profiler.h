@@ -35,7 +35,8 @@
 /// The sampler accumulates *raw oop bits*; it never dereferences the heap.
 /// Resolution to "Class>>selector" strings happens at report time in the
 /// VM layer (see VirtualMachine::buildProfileReport), which validates that
-/// the bits still name a live old-space CompiledMethod before touching it.
+/// the bits still name a live old-space CompiledMethod before touching it
+/// (a young doIt's bits are only named "(doIt)").
 ///
 //===----------------------------------------------------------------------===//
 

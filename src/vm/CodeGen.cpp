@@ -6,8 +6,6 @@
 
 #include "vm/CodeGen.h"
 
-#include <cstring>
-
 #include "support/Assert.h"
 
 using namespace mst;
@@ -567,7 +565,7 @@ bool CodeGen::genExpr(const ExprNode &E) {
 
 /// --- driver ---------------------------------------------------------------
 
-Oop CodeGen::generate(const MethodNode &M, std::string &OutError) {
+Oop CodeGen::generate(const MethodNode &M, bool Old, std::string &OutError) {
   Depths.push_back(Depth());
   for (const std::string &P : M.Params)
     addTemp(P);
@@ -592,9 +590,38 @@ Oop CodeGen::generate(const MethodNode &M, std::string &OutError) {
 
   ObjectMemory &OM = Om.memory();
   KnownObjects &K = Om.known();
+  HandleStack &HS = OM.handles();
+  auto OutOfMemory = [&OutError] {
+    OutError = "OutOfMemoryError: cannot allocate the compiled method "
+               "(heap ceiling reached)";
+    return Oop();
+  };
 
-  Oop Method =
-      OM.allocateOldPointers(K.ClassCompiledMethod, MethodSlotCount);
+  // Each young allocation below is a GC point, so every object made
+  // earlier is held in a handle. Literals can name young objects (the
+  // Association of a global bound at run time): root them across the
+  // literal frame's allocation.
+  for (Oop &L : Literals)
+    HS.push(&L);
+  Oop LitsRaw = Om.instantiate(K.ClassArray,
+                               static_cast<uint32_t>(Literals.size()), Old);
+  for (size_t I = Literals.size(); I > 0; --I)
+    HS.pop(&Literals[I - 1]);
+  if (LitsRaw.isNull())
+    return OutOfMemory();
+  Handle Lits(HS, LitsRaw);
+  for (size_t I = 0; I < Literals.size(); ++I)
+    OM.storePointer(Lits, static_cast<uint32_t>(I), Literals[I]);
+  Handle Bytes(HS, Om.makeByteArray(Code, Old));
+  if (Bytes.get().isNull())
+    return OutOfMemory();
+  Handle Source(HS, Om.makeString(M.Source, Old));
+  if (Source.get().isNull())
+    return OutOfMemory();
+  Oop Method = Om.instantiate(K.ClassCompiledMethod, 0, Old);
+  if (Method.isNull())
+    return OutOfMemory();
+
   OM.storePointer(Method, MthNumArgs,
                   Oop::fromSmallInt(static_cast<intptr_t>(M.Params.size())));
   OM.storePointer(Method, MthNumTemps,
@@ -604,12 +631,9 @@ Oop CodeGen::generate(const MethodNode &M, std::string &OutError) {
   int Frame = static_cast<int>(TempNames.size()) + Depths[0].Max;
   OM.storePointer(Method, MthFrameSize, Oop::fromSmallInt(Frame));
   OM.storePointer(Method, MthSelector, Om.intern(M.Selector));
-  OM.storePointer(Method, MthLiterals, Om.makeArray(Literals, /*Old=*/true));
-  Oop Bytes = OM.allocateOldBytes(K.ClassByteArray,
-                                  static_cast<uint32_t>(Code.size()));
-  std::memcpy(Bytes.object()->bytes(), Code.data(), Code.size());
+  OM.storePointer(Method, MthLiterals, Lits);
   OM.storePointer(Method, MthBytecodes, Bytes);
-  OM.storePointer(Method, MthSource, Om.makeString(M.Source, /*Old=*/true));
+  OM.storePointer(Method, MthSource, Source);
   OM.storePointer(Method, MthClass, Cls);
   return Method;
 }

@@ -31,10 +31,14 @@ public:
   /// resolution and super sends).
   CodeGen(ObjectModel &Om, Oop Cls);
 
-  /// Generates a CompiledMethod (allocated in old space — compiled code is
-  /// permanent, as tenured code was in BS). \returns the null oop on error
-  /// with \p Error set.
-  Oop generate(const MethodNode &M, std::string &Error);
+  /// Generates a CompiledMethod: the method, its literal frame, bytecodes
+  /// and source go in old space when \p Old (method definitions, which
+  /// live in method dictionaries) and in eden otherwise (doIts, which the
+  /// scavenger reclaims once nothing refers to them). Literal objects
+  /// (strings, arrays, symbols) are always old. A young generation is a
+  /// GC point. \returns the null oop on error, or when a young allocation
+  /// fails, with \p Error set.
+  Oop generate(const MethodNode &M, bool Old, std::string &Error);
 
 private:
   // --- emission helpers

@@ -23,7 +23,7 @@ CompileResult mst::compileMethodSource(ObjectModel &Om, Oop Cls,
     return {Oop(), P.errorMessage()};
   CodeGen Gen(Om, Cls);
   std::string Error;
-  Oop Method = Gen.generate(M, Error);
+  Oop Method = Gen.generate(M, /*Old=*/true, Error);
   if (Method.isNull())
     return {Oop(), Error};
   return {Method, ""};
@@ -37,7 +37,7 @@ CompileResult mst::compileDoItSource(ObjectModel &Om, Oop Cls,
     return {Oop(), P.errorMessage()};
   CodeGen Gen(Om, Cls);
   std::string Error;
-  Oop Method = Gen.generate(M, Error);
+  Oop Method = Gen.generate(M, /*Old=*/false, Error);
   if (Method.isNull())
     return {Oop(), Error};
   return {Method, ""};
@@ -45,6 +45,9 @@ CompileResult mst::compileDoItSource(ObjectModel &Om, Oop Cls,
 
 void mst::installMethod(ObjectModel &Om, MethodCache *Cache, Oop Cls,
                         Oop Method) {
+  // A young method in a dictionary would go stale: doSend holds a looked-up
+  // method across primitives that can scavenge.
+  assert(Method.object()->isOld() && "installed methods must be old");
   Oop Selector = ObjectMemory::fetchPointer(Method, MthSelector);
   Om.mdAddMethod(Cls, Selector, Method);
   if (Cache)

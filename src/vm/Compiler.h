@@ -31,18 +31,20 @@ struct CompileResult {
 };
 
 /// Compiles a full method definition (pattern, pragma, temps, body) for
-/// class \p Cls. Does not install it.
+/// class \p Cls into old space. Does not install it.
 CompileResult compileMethodSource(ObjectModel &Om, Oop Cls,
                                   const std::string &Source);
 
 /// Compiles an expression sequence into a 'doIt' method on \p Cls. The
-/// method answers the value of the final expression.
+/// method answers the value of the final expression. It is young: the
+/// call is a GC point, and the caller must hold the method in a Handle
+/// across any allocation.
 CompileResult compileDoItSource(ObjectModel &Om, Oop Cls,
                                 const std::string &Source);
 
-/// Installs \p Method in \p Cls's method dictionary under the method's own
-/// selector, flushing \p Cache entries for that selector (pass nullptr
-/// during bootstrap, before caches exist).
+/// Installs \p Method, which must be old, in \p Cls's method dictionary
+/// under the method's own selector, flushing \p Cache entries for that
+/// selector (pass nullptr during bootstrap, before caches exist).
 void installMethod(ObjectModel &Om, MethodCache *Cache, Oop Cls, Oop Method);
 
 /// Convenience: compile + install; aborts the process on a compile error

@@ -33,9 +33,9 @@ void Interpreter::reloadFrame() {
   HomeH = IsBlock ? CtxH->slots()[BlkHome].object() : CtxH;
   CurMethod = HomeH->slots()[CtxMethod];
   Oop Bytes = ObjectMemory::fetchPointer(CurMethod, MthBytecodes);
-  // Compiled code lives in old space and never moves; caching the raw
-  // byte pointer across GC points is safe.
-  assert(Bytes.object()->isOld() && "method bytecodes must be old-space");
+  // A doIt's bytecodes are young and move in a scavenge. Every GC point
+  // re-runs this function (the context pointer CtxH moves too), so the
+  // raw byte pointer never outlives one.
   Code = Bytes.object()->bytes();
   Ip = static_cast<uint32_t>(CtxH->slots()[CtxIp].smallInt());
   SpVal = CtxH->slots()[CtxSp].smallInt();
@@ -312,7 +312,8 @@ void Interpreter::activateMethod(Oop Method, unsigned Argc) {
 
   uint32_t SlotsNeeded =
       CtxFixedSlots + static_cast<uint32_t>(Frame);
-  // Method is an old-space oop: safe to hold across the GC point below.
+  // Method came from a method dictionary, whose methods are old (see
+  // installMethod): safe to hold across the GC point below.
   Oop NewCtx = allocateContext(SlotsNeeded, Om.known().ClassMethodContext);
   if (NewCtx.isNull()) {
     vmError("OutOfMemoryError: cannot allocate a method context (heap "

@@ -159,9 +159,9 @@ private:
 
   InterpreterRoots Roots;
 
-  // Frame cache. Code points into an old-space ByteArray (compiled code is
-  // permanent), so it survives scavenges; CtxH and HomeH do not and are
-  // reloaded at GC points.
+  // Frame cache. CtxH, HomeH, CurMethod and Code may all point into new
+  // space (a doIt's method and bytecodes are young), so reloadFrame()
+  // re-derives them from the active context at every GC point.
   ObjectHeader *CtxH = nullptr;
   ObjectHeader *HomeH = nullptr; // == CtxH for method contexts
   bool IsBlock = false;

@@ -374,7 +374,8 @@ Oop ObjectModel::makeString(const std::string &S, bool Old) {
                                       static_cast<uint32_t>(S.size()))
                 : OM.allocateBytes(K.ClassString,
                                    static_cast<uint32_t>(S.size()));
-  std::memcpy(Str.object()->bytes(), S.data(), S.size());
+  if (!Str.isNull())
+    std::memcpy(Str.object()->bytes(), S.data(), S.size());
   return Str;
 }
 
@@ -383,7 +384,8 @@ Oop ObjectModel::makeByteArray(const std::vector<uint8_t> &Bytes, bool Old) {
                                       static_cast<uint32_t>(Bytes.size()))
                 : OM.allocateBytes(K.ClassByteArray,
                                    static_cast<uint32_t>(Bytes.size()));
-  std::memcpy(Arr.object()->bytes(), Bytes.data(), Bytes.size());
+  if (!Arr.isNull())
+    std::memcpy(Arr.object()->bytes(), Bytes.data(), Bytes.size());
   return Arr;
 }
 

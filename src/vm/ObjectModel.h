@@ -312,6 +312,8 @@ public:
 
   /// --- Strings, symbols, characters -------------------------------------
 
+  /// New-space unless \p Old. \returns the object, or the null oop when
+  /// a young allocation is refused (heap ceiling).
   Oop makeString(const std::string &S, bool Old = false);
   Oop makeByteArray(const std::vector<uint8_t> &Bytes, bool Old = false);
 

@@ -534,7 +534,8 @@ Interpreter::PrimResult Interpreter::dispatchPrimitive(int Index,
     if (!Method.isPointer() ||
         Om.classOf(Method) != K.ClassCompiledMethod)
       return PrimResult::Fail;
-    // Methods are old-space: the oop is stable across the GC point below.
+    // The method (old, or a young doIt) is read here, before the GC point
+    // below, and not touched after it.
     std::string Text = decompileMethod(Om, Method);
     writeBackIp();
     Oop Str = Om.makeString(Text);

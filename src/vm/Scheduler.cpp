@@ -97,6 +97,8 @@ Oop Scheduler::createProcess(Oop InitialContext, int Priority,
   if (Proc.get().isNull())
     return Oop(); // Out of memory; the caller reports the failure.
   Oop NameStr = Name.empty() ? Om.nil() : Om.makeString(Name);
+  if (NameStr.isNull())
+    return Oop();
   OM.storePointer(Proc.get(), ProcNextLink, Om.nil());
   OM.storePointer(Proc.get(), ProcSuspendedContext, Ctx.get());
   OM.storePointer(Proc.get(), ProcPriority, Oop::fromSmallInt(Priority));

@@ -50,6 +50,7 @@ public:
 
   /// Creates a new suspended Process (new space: the caller must treat
   /// this as a GC point). \p InitialContext is its suspended context.
+  /// \returns the null oop when an allocation is refused.
   Oop createProcess(Oop InitialContext, int Priority,
                     const std::string &Name);
 

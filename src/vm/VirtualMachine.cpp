@@ -155,7 +155,8 @@ void VirtualMachine::clearAbort() { Driver->clearAbort(); }
 /// --- execution front door ----------------------------------------------
 
 Oop VirtualMachine::buildBottomContext(Oop Method, Oop Receiver) {
-  assert(Method.object()->isOld() && "methods are compiled into old space");
+  // A doIt's method is young: hold it across the context allocation.
+  Handle MethodHandle(OM->handles(), Method);
   Handle RecvHandle(OM->handles(), Receiver);
   intptr_t NumTemps =
       ObjectMemory::fetchPointer(Method, MthNumTemps).smallInt();
@@ -174,7 +175,10 @@ Oop VirtualMachine::buildBottomContext(Oop Method, Oop Receiver) {
   Oop *NS = N->slots();
   NS[CtxSender] = Om->nil();
   NS[CtxIp] = Oop::fromSmallInt(0);
-  NS[CtxMethod] = Method;
+  // A context larger than eden/4 is allocated old, so both stores need
+  // the barrier.
+  NS[CtxMethod] = MethodHandle.get();
+  OM->writeBarrier(N, MethodHandle.get());
   NS[CtxReceiver] = RecvHandle.get();
   OM->writeBarrier(N, RecvHandle.get());
   NS[CtxSp] = Oop::fromSmallInt(CtxFixedSlots + NumTemps - 1);
@@ -471,6 +475,11 @@ ProfileResolver VirtualMachine::profileResolver() {
   };
   R.ClassName = [M](uintptr_t Bits) { return safeClassName(*M, Bits); };
   R.MethodName = [M, MethodClass](uintptr_t Bits) -> std::string {
+    // Only doIts are compiled into new space, and young bits cannot be
+    // validated (the object may have moved or died since the sample).
+    Oop O = Oop::fromBits(Bits);
+    if (O.isPointer() && !M->oldContains(O.object()))
+      return "(doIt)";
     ObjectHeader *H = validOldObject(*M, Bits, ObjectFormat::Pointers);
     if (!H || H->classOop() != MethodClass ||
         H->SlotCount < MethodSlotCount)

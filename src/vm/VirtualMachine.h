@@ -238,6 +238,8 @@ public:
   /// heap: bits are validated (pointer, old space, live CompiledMethod
   /// header) before any slot is read, so methods swept by a full
   /// collection since the sample resolve to "" rather than crashing.
+  /// Method bits outside old space name a doIt (the only young methods)
+  /// and resolve to "(doIt)".
   ProfileResolver profileResolver();
 
   /// Resolves everything the sampling profiler has accumulated so far

@@ -348,4 +348,33 @@ TEST(MemoryPressureTest, RunawayAllocationSignalsLowSpaceThenRaisesOom) {
             5050);
 }
 
+TEST(MemoryPressureTest, StringHelpersAnswerNullOnAFullHeap) {
+  // Fill the heap with live objects: a runaway that keeps every Array it
+  // makes in a global dies with OutOfMemoryError, and the global keeps
+  // old space at the ceiling. A string or byte array too big for eden is
+  // then refused, and both helpers must answer the null oop rather than
+  // copy into it.
+  VmConfig Config = VmConfig::multiprocessor(1);
+  Config.Memory.EdenBytes = 1u << 20;
+  Config.Memory.SurvivorBytes = 256u * 1024;
+  Config.Memory.MaxHeapBytes = 24u << 20;
+  TestVm T(Config);
+  Oop R = T.vm().compileAndRun("| all |\n"
+                               "all := OrderedCollection new.\n"
+                               "Smalltalk at: #Hog put: all.\n"
+                               "[true] whileTrue: [all add: (Array new: "
+                               "65536)]");
+  ASSERT_TRUE(R.isNull()) << "the runaway ended without error";
+
+  // Twice the runaway's 512K Arrays, and past eden/4, so old space must
+  // take it.
+  const size_t Big = 1u << 20;
+  EXPECT_TRUE(T.om().makeString(std::string(Big, 'x')).isNull());
+  EXPECT_TRUE(T.om().makeByteArray(std::vector<uint8_t>(Big)).isNull());
+
+  // Dropping the hog makes room again.
+  T.eval("Smalltalk at: #Hog put: nil");
+  EXPECT_FALSE(T.om().makeString(std::string(Big, 'x')).isNull());
+}
+
 } // namespace

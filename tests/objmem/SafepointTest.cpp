@@ -189,8 +189,10 @@ TEST(SafepointTest, MutatorRegisteringMidRendezvousIsGathered) {
 
   std::atomic<bool> LateParked{false};
   std::thread Late([&] {
-    // Wait for the global flag: the pause is pending by then.
-    while (!Sp.pollNeeded())
+    // Wait for the global flag: the pause is pending by then. The whole
+    // pause can also start and end before this thread looks; then the
+    // completed pause count ends the wait and it registers afterwards.
+    while (!Sp.pollNeeded() && Sp.pauseCount() < 1)
       std::this_thread::yield();
     Sp.registerMutator();
     // First poll parks us until the pause completes.

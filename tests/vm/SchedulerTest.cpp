@@ -41,7 +41,7 @@ protected:
   }
 
   TestVm T;
-  Oop CachedMethod; // old-space: stable
+  Oop CachedMethod; // a young doIt: stable only because nothing scavenges
 };
 
 TEST_F(SchedulerTest, CreateProcessStartsSuspended) {

@@ -4,7 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include <algorithm>
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "TestVm.h"
@@ -155,6 +157,64 @@ TEST(VirtualMachineTest, DriverRootsAreGcSafe) {
   EXPECT_EQ(T.evalString("| s | s := 'keep', 'me'. nil forceScavenge. "
                          "^s"),
             "keepme");
+}
+
+TEST(VirtualMachineTest, DoItsLeaveOldSpaceFlat) {
+  // A doIt compiles into eden, so one that nothing references after it
+  // returns dies at the next scavenge instead of tenuring.
+  TestVm T;
+  ASSERT_TRUE(T.vm().evaluate("3 + 4 * 0").Ok);
+  size_t Before = T.vm().memory().oldSpaceUsed();
+  for (int N = 1; N <= 100000; ++N) {
+    VirtualMachine::EvalResult R =
+        T.vm().evaluate("3 + 4 * " + std::to_string(N));
+    ASSERT_TRUE(R.Ok) << R.Value;
+  }
+  EXPECT_LT(T.vm().memory().oldSpaceUsed(), Before + 64u * 1024);
+}
+
+TEST(VirtualMachineTest, EscapedDoItsSurviveScavengesAndFullCollection) {
+  // A doIt's block or method stored in a global is copied and tenured
+  // like any other live object, and still works after it moved.
+  TestVm T;
+  T.eval("| t | Smalltalk at: #B put: [:x | x + 1]. ^0");
+  T.eval("Smalltalk at: #M put: thisContext method. ^0");
+  for (int I = 0; I < 3; ++I)
+    T.eval("nil forceScavenge");
+  T.eval("nil fullCollect");
+  EXPECT_EQ(T.evalInt("^(Smalltalk at: #B) value: 41"), 42);
+  EXPECT_TRUE(T.evalBool("^(Smalltalk at: #M) decompile size > 0"));
+}
+
+TEST(VirtualMachineTest, DoItCompiledAcrossAScavengeKeepsItsYoungGlobal) {
+  // A global bound by Smalltalk code has a young Association, which the
+  // doIt's literal frame names. Filling eden first makes the literal
+  // frame's own allocation scavenge, moving that Association while the
+  // compiler holds it. The doIt keeps its method so the frame can be
+  // checked afterwards.
+  TestVm T(VmConfig::baselineBS());
+  T.eval("Smalltalk at: #YoungGlobal put: 41");
+  ASSERT_FALSE(
+      T.om().globalAssociation("YoungGlobal", false).object()->isOld());
+  // Leave less eden than a one-slot Array needs.
+  ObjectMemory &OM = T.vm().memory();
+  const size_t OneSlot = sizeof(ObjectHeader) + sizeof(Oop);
+  for (size_t Left; (Left = OM.edenCapacity() - OM.edenUsed()) >= OneSlot;)
+    OM.allocateBytes(T.om().known().ClassByteArray,
+                     static_cast<uint32_t>(
+                         std::min(Left, OM.edenCapacity() / 8) - OneSlot));
+  EXPECT_EQ(T.evalInt("Smalltalk at: #YoungDoIt put: thisContext method. "
+                      "^YoungGlobal + 1"),
+            42);
+  Oop Lits = ObjectMemory::fetchPointer(T.om().globalAt("YoungDoIt"),
+                                        MthLiterals);
+  Oop Assoc = T.om().globalAssociation("YoungGlobal", false);
+  bool Named = false;
+  for (uint32_t I = 0; I < Lits.object()->SlotCount; ++I)
+    Named |= ObjectMemory::fetchPointer(Lits, I) == Assoc;
+  EXPECT_TRUE(Named) << "the literal frame names a stale Association";
+  std::string Error;
+  EXPECT_TRUE(OM.verifyHeap(&Error)) << Error;
 }
 
 } // namespace
