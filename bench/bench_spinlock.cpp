@@ -6,15 +6,14 @@
 ///
 /// \file
 /// Microbenchmarks of the V-style spin lock (test-and-set with Delay
-/// backoff, paper §3.1) and the Send/Receive/Reply IPC channel: the cost
-/// of the serialization strategy itself, and of the baseline-BS mode in
-/// which every lock is compiled to a no-op branch.
+/// backoff, paper §3.1): the cost of the serialization strategy itself,
+/// and of the baseline-BS mode in which every lock is compiled to a
+/// no-op branch.
 ///
 //===----------------------------------------------------------------------===//
 
 #include <benchmark/benchmark.h>
 
-#include "vkernel/IpcChannel.h"
 #include "vkernel/SpinLock.h"
 
 using namespace mst;
@@ -70,32 +69,6 @@ void BM_RememberedSetStyleCheck(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_RememberedSetStyleCheck);
-
-void BM_IpcRoundTrip(benchmark::State &State) {
-  // One server thread replies to every request: the Send/Receive/Reply
-  // cycle the scavenge rendezvous is built from.
-  IpcChannel Chan;
-  std::atomic<bool> Stop{false};
-  std::thread Server([&] {
-    uint64_t Req;
-    for (;;) {
-      IpcChannel::MessageHandle H = Chan.receive(Req);
-      Chan.reply(H, Req == UINT64_MAX ? 0 : Req + 1);
-      if (Req == UINT64_MAX)
-        return;
-    }
-  });
-  uint64_t I = 0;
-  for (auto _ : State) {
-    uint64_t R = Chan.send(I);
-    benchmark::DoNotOptimize(R);
-    ++I;
-  }
-  Chan.send(UINT64_MAX);
-  Server.join();
-  (void)Stop;
-}
-BENCHMARK(BM_IpcRoundTrip);
 
 } // namespace
 

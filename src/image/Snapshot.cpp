@@ -960,10 +960,6 @@ bool Loader::materialize(std::string &Error) {
 
 bool mst::saveSnapshot(VirtualMachine &VM, const std::string &Path,
                        std::string &Error, const SnapshotOptions &Opts) {
-  // §3.3: fill the activeProcess slot before the snapshot, empty it
-  // afterwards (the VM itself never reads it).
-  VM.scheduler().fillActiveProcessSlot(VM.snapshotActiveProcess());
-
   // Serialize with the world stopped so the object graph is frozen while
   // we walk it; everything below is memory-only, so the pause excludes
   // all file I/O.
@@ -973,14 +969,18 @@ bool mst::saveSnapshot(VirtualMachine &VM, const std::string &Path,
   }
   uint64_t PauseStart = Telemetry::nowNs();
   {
+    // §3.3: fill the activeProcess slot for the snapshot, empty it
+    // afterwards (the VM itself never reads it). Inside the pause: the
+    // driver writes the Process it reports whenever it starts a run.
+    VM.scheduler().fillActiveProcessSlot(VM.snapshotActiveProcess());
     Writer W(VM);
     W.run(Objects, Roots, Symbols);
     ObjectCount = W.objectCount();
     RootCount = W.rootCount();
+    VM.scheduler().emptyActiveProcessSlot();
   }
   savePauseHist().record(Telemetry::nowNs() - PauseStart);
   VM.memory().safepoint().resume();
-  VM.scheduler().emptyActiveProcessSlot();
 
   // Everything below touches only host memory and the filesystem, so the
   // world may treat this thread as parked: a slow disk — or waiting on

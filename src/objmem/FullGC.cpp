@@ -164,7 +164,7 @@ void FullGC::markLoop(unsigned W) {
 
 void FullGC::sweepChunk(uint8_t *Begin, uint8_t *End, Worker &Me) {
   uint8_t *RunStart = nullptr;
-  size_t SweptHere = 0, LiveHere = 0, ObjsHere = 0;
+  size_t SweptHere = 0, LiveHere = 0;
   for (uint8_t *P = Begin; P < End;) {
     auto *H = reinterpret_cast<ObjectHeader *>(P);
     size_t Bytes = H->totalBytes();
@@ -182,7 +182,6 @@ void FullGC::sweepChunk(uint8_t *Begin, uint8_t *End, Worker &Me) {
       }
       H->clearMarked();
       LiveHere += Bytes;
-      ++ObjsHere;
       // Rebuild the remembered set from surviving old→young pointers: the
       // set itself was not a mark root (that would retain floating
       // garbage), so recompute each survivor's flag from scratch.
@@ -208,7 +207,6 @@ void FullGC::sweepChunk(uint8_t *Begin, uint8_t *End, Worker &Me) {
     OM.Old.addFreeBlock(RunStart, static_cast<size_t>(End - RunStart));
   Swept.fetch_add(SweptHere, std::memory_order_relaxed);
   Live.fetch_add(LiveHere, std::memory_order_relaxed);
-  LiveObjs.fetch_add(ObjsHere, std::memory_order_relaxed);
 }
 
 void FullGC::sweepLoop(unsigned W) {

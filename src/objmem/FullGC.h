@@ -61,10 +61,6 @@ public:
   }
   /// \returns bytes of old objects that survived the collection.
   size_t liveBytes() const { return Live.load(std::memory_order_relaxed); }
-  /// \returns the number of surviving old objects.
-  size_t liveObjects() const {
-    return LiveObjs.load(std::memory_order_relaxed);
-  }
 
 private:
   /// Per-worker marking state. The stack is locked (always-on, even in the
@@ -111,7 +107,6 @@ private:
   std::atomic<size_t> NextChunk{0};
   std::atomic<size_t> Swept{0};
   std::atomic<size_t> Live{0};
-  std::atomic<size_t> LiveObjs{0};
 };
 
 } // namespace mst

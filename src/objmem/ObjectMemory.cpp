@@ -76,10 +76,14 @@ MutatorContext *ObjectMemory::registerMutator(const std::string &Name) {
   M->Name = Name;
   if (!Name.empty())
     setTraceThreadName(Name);
-  std::lock_guard<std::mutex> Guard(MutatorsMutex);
-  M->Id = static_cast<unsigned>(Mutators.size());
-  CurrentMutator = M.get();
-  Mutators.push_back(std::move(M));
+  {
+    std::lock_guard<std::mutex> Guard(MutatorsMutex);
+    M->Id = static_cast<unsigned>(Mutators.size());
+    CurrentMutator = M.get();
+    Mutators.push_back(std::move(M));
+  }
+  // Outside MutatorsMutex: this may wait out a pause, whose collector
+  // takes that mutex.
   Sp.registerMutator(Name.empty()
                          ? "mutator-" + std::to_string(CurrentMutator->Id)
                          : Name);
@@ -130,6 +134,12 @@ uint8_t *ObjectMemory::allocateNewRaw(size_t TotalBytes, bool &WentOld) {
   // loop below.
   if (TotalBytes > Config.EdenBytes / 4 || TotalBytes > Eden.capacity()) {
     WentOld = true;
+    // These bytes never pass through a scavenge, where the tenure-pressure
+    // trigger is checked, so check it here. Before the allocation: the new
+    // object is not rooted yet, and a collection after it would sweep it.
+    if (Config.FullGcEnabled &&
+        Old.used() >= FullGcTrigger.load(std::memory_order_relaxed))
+      fullCollect();
     uint8_t *Mem = allocateOldRescuing(TotalBytes);
     if (Mem)
       TenuredBytesCtr.add(TotalBytes);

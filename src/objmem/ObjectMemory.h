@@ -307,9 +307,6 @@ public:
   /// \returns the distribution of stop-the-world scavenge pauses (ns).
   const Histogram &pauseHistogram() const { return PauseHist; }
 
-  /// \returns the distribution of full-collection pauses (ns).
-  const Histogram &fullPauseHistogram() const { return FullPauseHist; }
-
 private:
   friend class Scavenger;
   friend class FullGC;
@@ -318,9 +315,10 @@ private:
   /// exhaustion: bounded scavenging, then diversion into old space (which
   /// itself may run a full collection). Oversized requests — larger than
   /// a quarter of eden, or than eden outright — divert immediately; they
-  /// could never be satisfied by scavenging and must not spin. \returns
-  /// the block (the caller learns where it landed via \p WentOld), or
-  /// nullptr when every rung failed.
+  /// could never be satisfied by scavenging and must not spin. They run
+  /// the full collection first when old space is past its trigger.
+  /// \returns the block (the caller learns where it landed via \p
+  /// WentOld), or nullptr when every rung failed.
   uint8_t *allocateNewRaw(size_t TotalBytes, bool &WentOld);
 
   /// Old-space allocation walking the ladder's lower rungs: on refusal

@@ -39,7 +39,10 @@ Safepoint::MutState *Safepoint::myStateLocked() { return tlsLookup(this); }
 void Safepoint::registerMutator(const std::string &Name) {
   auto State = std::make_unique<MutState>();
   State->Name = Name.empty() ? "mutator" : Name;
-  std::lock_guard<std::mutex> Guard(Mutex);
+  std::unique_lock<std::mutex> Lock(Mutex);
+  // A pause counts the mutators it stops when it starts; one that joined
+  // during it would run unstopped inside it. Join after it instead.
+  Cv.wait(Lock, [this] { return !Pending && !InProgress; });
   ++Mutators;
   TlsStates.emplace_back(this, State.get());
   States.push_back(std::move(State));

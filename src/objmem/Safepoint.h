@@ -99,12 +99,6 @@ public:
     return Pauses.load(std::memory_order_relaxed);
   }
 
-  /// \returns the distribution of rendezvous latencies (ns): the time from
-  /// raising the global flag until every mutator reported safe. This is
-  /// the part of the pause the paper's global-flag protocol adds on top of
-  /// the scavenge work itself.
-  const Histogram &rendezvousHistogram() const { return RendezvousHist; }
-
   /// --- Watchdog -----------------------------------------------------------
   /// A mutator that never reaches a poll (wedged primitive, deadlocked
   /// host lock, runaway native loop) stalls every future rendezvous and
@@ -117,10 +111,6 @@ public:
   /// Sets the rendezvous deadline in milliseconds; 0 disables.
   void setWatchdogMillis(uint64_t Ms) {
     WatchdogMs.store(Ms, std::memory_order_relaxed);
-  }
-
-  uint64_t watchdogMillis() const {
-    return WatchdogMs.load(std::memory_order_relaxed);
   }
 
   /// \returns how many times the watchdog has fired.

@@ -133,12 +133,3 @@ void Histogram::merge(const Histogram &Other) {
   atomicMax(MaxV, Other.MaxV.load(std::memory_order_relaxed));
   atomicMin(MinV, Other.MinV.load(std::memory_order_relaxed));
 }
-
-void Histogram::reset() {
-  for (auto &B : Buckets)
-    B.store(0, std::memory_order_relaxed);
-  N.store(0, std::memory_order_relaxed);
-  Total.store(0, std::memory_order_relaxed);
-  MaxV.store(0, std::memory_order_relaxed);
-  MinV.store(UINT64_MAX, std::memory_order_relaxed);
-}

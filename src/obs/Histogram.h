@@ -60,12 +60,6 @@ public:
     return M == UINT64_MAX ? 0 : M;
   }
 
-  /// \returns the arithmetic mean, or 0 when empty.
-  double mean() const {
-    uint64_t C = count();
-    return C ? static_cast<double>(sum()) / static_cast<double>(C) : 0.0;
-  }
-
   /// \returns the value at quantile \p P in [0,100], interpolated inside
   /// its bucket; relative error is bounded by the sub-bucket width (~6%).
   /// 0 when empty.
@@ -74,9 +68,6 @@ public:
   /// Merges \p Other's samples into this histogram (registry aggregation
   /// of same-name replicas).
   void merge(const Histogram &Other);
-
-  /// Zeroes all buckets. Only meaningful while writers are quiescent.
-  void reset();
 
   const std::string &name() const { return Name; }
   const std::string &unit() const { return Unit; }

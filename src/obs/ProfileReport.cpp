@@ -10,6 +10,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <tuple>
 #include <unordered_map>
@@ -73,12 +74,15 @@ void appendLine(std::string &Out, const char *Fmt, ...) {
   Out += '\n';
 }
 
-/// The state column order used by every table.
-const ProfState TableStates[] = {
-    ProfState::Running,  ProfState::LookupMiss, ProfState::LockWait,
-    ProfState::Safepoint, ProfState::Scavenge,  ProfState::FullGc,
-    ProfState::IpcBlocked, ProfState::Idle,
+/// The per-vproc table's state columns, in order, with their headers.
+const std::pair<ProfState, const char *> TableStates[] = {
+    {ProfState::Running, "run"},        {ProfState::LookupMiss, "miss"},
+    {ProfState::LockWait, "lock"},      {ProfState::Safepoint, "safept"},
+    {ProfState::Scavenge, "scav"},      {ProfState::FullGc, "fullgc"},
+    {ProfState::Idle, "idle"},
 };
+static_assert(std::size(TableStates) == NumProfStates,
+              "one per-vproc column per ProfState");
 
 } // namespace
 
@@ -131,10 +135,13 @@ std::string ProfileReport::render() const {
   // --- per-vproc state breakdown: where each vproc's wall time went.
   appendLine(Out, "%s", "");
   appendLine(Out, "--- time breakdown per vproc (%% of that vproc's samples)");
-  appendLine(Out,
-             "%-12s %9s  %7s %7s %7s %7s %7s %7s %7s %7s", "vproc",
-             "samples", "run", "miss", "lock", "safept", "scav", "fullgc",
-             "ipc", "idle");
+  char Cell[16];
+  std::string Cols;
+  for (const auto &[St, Header] : TableStates) {
+    std::snprintf(Cell, sizeof(Cell), " %7s", Header);
+    Cols += Cell;
+  }
+  appendLine(Out, "%-12s %9s %s", "vproc", "samples", Cols.c_str());
   std::map<std::string, std::vector<uint64_t>> PerVp;
   for (const SampleRow &R : Samples) {
     auto &Row = PerVp[R.Vproc];
@@ -142,18 +149,18 @@ std::string ProfileReport::render() const {
       Row.assign(NumProfStates + 1, 0);
     Row[NumProfStates] += R.Count;
     for (unsigned I = 0; I < NumProfStates; ++I)
-      if (R.State == profStateName(TableStates[I]))
+      if (R.State == profStateName(TableStates[I].first))
         Row[I] += R.Count;
   }
   for (const auto &[Vp, Row] : PerVp) {
     uint64_t T = Row[NumProfStates];
-    appendLine(Out,
-               "%-12s %9llu  %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% "
-               "%6.1f%% %6.1f%% %6.1f%%",
-               Vp.c_str(), (unsigned long long)T, pct(Row[0], T),
-               pct(Row[1], T), pct(Row[2], T), pct(Row[3], T),
-               pct(Row[4], T), pct(Row[5], T), pct(Row[6], T),
-               pct(Row[7], T));
+    Cols.clear();
+    for (unsigned I = 0; I < NumProfStates; ++I) {
+      std::snprintf(Cell, sizeof(Cell), " %6.1f%%", pct(Row[I], T));
+      Cols += Cell;
+    }
+    appendLine(Out, "%-12s %9llu %s", Vp.c_str(), (unsigned long long)T,
+               Cols.c_str());
   }
 
   // --- method hot spots: self samples across all vprocs, split by state.

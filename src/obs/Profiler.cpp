@@ -14,32 +14,10 @@
 
 using namespace mst;
 
-thread_local ProfileSlot *mst::profdetail::SlotTL = nullptr;
+constinit thread_local ProfileSlot *mst::profdetail::SlotTL = nullptr;
 
 std::atomic<bool> Profiler::Enabled{false};
 std::atomic<uint32_t> Profiler::AllocPeriod{64};
-
-const char *mst::profStateName(ProfState S) {
-  switch (S) {
-  case ProfState::Idle:
-    return "idle";
-  case ProfState::Running:
-    return "running";
-  case ProfState::LookupMiss:
-    return "lookup-miss";
-  case ProfState::LockWait:
-    return "lock-wait";
-  case ProfState::Safepoint:
-    return "safepoint";
-  case ProfState::Scavenge:
-    return "scavenge";
-  case ProfState::FullGc:
-    return "fullgc";
-  case ProfState::IpcBlocked:
-    return "ipc-blocked";
-  }
-  return "?";
-}
 
 namespace {
 

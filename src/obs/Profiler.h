@@ -9,10 +9,10 @@
 /// vproc's interpreter thread publishes a tiny *profile slot* — the
 /// current CompiledMethod oop, the receiver's class, the bytecode pc, and
 /// a state tag (running / lookup-miss / lock-wait / safepoint / scavenge /
-/// fullgc / ipc-blocked / idle) — through relaxed atomic stores on
-/// send/return and state transitions. A dedicated sampler thread wakes at
-/// a configurable hz, walks the registered slots, and accumulates
-/// (method, receiver class, state) tuples into per-vproc hash tables.
+/// fullgc / idle) — through relaxed atomic stores on send/return and
+/// state transitions. A dedicated sampler thread wakes at a configurable
+/// hz, walks the registered slots, and accumulates (method, receiver
+/// class, state) tuples into per-vproc hash tables.
 ///
 /// Design constraints, in order:
 ///  - **Mutators never take a lock or a signal.** Publication is plain
@@ -62,13 +62,39 @@ enum class ProfState : uint8_t {
   Safepoint,  ///< parked at a stop-the-world rendezvous
   Scavenge,   ///< coordinating a scavenge
   FullGc,     ///< coordinating a full mark-sweep collection
-  IpcBlocked, ///< blocked in a synchronous IPC send/receive
 };
 
-inline constexpr unsigned NumProfStates = 8;
+/// One past ProfState's last member: the states the sampler accepts and
+/// the report's per-vproc table has columns for.
+inline constexpr unsigned NumProfStates = 7;
 
-/// \returns the lowercase report name of \p S ("lock-wait", ...).
-const char *profStateName(ProfState S);
+/// \returns the lowercase report name of \p S ("lock-wait", ...), or "?"
+/// for a value past the last member.
+constexpr const char *profStateName(ProfState S) {
+  switch (S) {
+  case ProfState::Idle:
+    return "idle";
+  case ProfState::Running:
+    return "running";
+  case ProfState::LookupMiss:
+    return "lookup-miss";
+  case ProfState::LockWait:
+    return "lock-wait";
+  case ProfState::Safepoint:
+    return "safepoint";
+  case ProfState::Scavenge:
+    return "scavenge";
+  case ProfState::FullGc:
+    return "fullgc";
+  }
+  return "?";
+}
+
+// A new ProfState needs a name above (-Wswitch), then a larger
+// NumProfStates (this assert), then a report column (ProfileReport.cpp).
+static_assert(profStateName(ProfState(NumProfStates - 1))[0] != '?' &&
+                  profStateName(ProfState(NumProfStates))[0] == '?',
+              "NumProfStates must be one past ProfState's last member");
 
 /// One thread's publication slot plus its sampler-side accumulation.
 /// Mutator-owned fields are written with relaxed stores only; the
@@ -149,7 +175,7 @@ struct ProfileSlot {
 namespace profdetail {
 /// The calling thread's slot, or nullptr before registration. Exposed so
 /// the per-send publication inlines to a TLS load + relaxed store.
-extern thread_local ProfileSlot *SlotTL;
+extern constinit thread_local ProfileSlot *SlotTL;
 } // namespace profdetail
 
 struct ProfilerOptions {
@@ -240,7 +266,7 @@ private:
 };
 
 /// RAII state-tag transition for the cold paths (lock acquisition, GC,
-/// safepoint parks, idle waits, IPC). Two relaxed stores into the calling
+/// safepoint parks, idle waits). Two relaxed stores into the calling
 /// thread's own slot; a no-op on unregistered threads. Unconditional —
 /// not gated on enabled() — so state tags are correct the instant the
 /// sampler starts mid-run.

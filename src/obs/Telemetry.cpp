@@ -204,15 +204,6 @@ std::string Telemetry::toJson(const Snapshot &S) {
   return Out;
 }
 
-void Telemetry::resetAll() {
-  Registry &R = reg();
-  std::lock_guard<std::mutex> G(R.M);
-  for (Counter *C : R.Counters)
-    C->reset();
-  for (Histogram *H : R.Histograms)
-    H->reset();
-}
-
 uint64_t Telemetry::nowNs() {
   static const std::chrono::steady_clock::time_point Epoch =
       std::chrono::steady_clock::now();

@@ -155,10 +155,6 @@ public:
   /// "histograms":{name:{count,p50_ns,p95_ns,p99_ns,max_ns}}}.
   static std::string toJson(const Snapshot &S);
 
-  /// Zeroes every registered counter and histogram (benchmark harness use,
-  /// between warmup and the measured region).
-  static void resetAll();
-
   /// --- Tracing master switch ---------------------------------------------
   /// The tracing fast path is a single relaxed load of this flag; when
   /// false, spans and instants compile down to a test-and-branch.

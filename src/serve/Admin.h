@@ -9,7 +9,7 @@
 /// process — per-shard state (generation, restarts, requests, errors,
 /// queue depth, checkpoints), session counts, request totals (the shards'
 /// sums plus the front-end's own errors), the sampling profiler's per-shard
-/// state breakdown (running / lock-wait / gc / ipc-wait sample counts,
+/// state breakdown (running / lock-wait / gc / idle sample counts,
 /// resolvable without touching any shard's heap), and the full telemetry
 /// registry snapshot (serve.* counters, gc pause histograms, everything
 /// else). Rendered on the event-loop thread; it reads only atomics,

@@ -101,8 +101,6 @@ public:
 
   void close();
 
-  bool isOpen() const { return Fd >= 0; }
-
   /// Appends one intent record (not yet durable — call sync() at the
   /// batch boundary). \p RecordId receives the journal-unique id the
   /// outcome record must echo. The `journal.append.fail` chaos point

@@ -31,14 +31,6 @@ public:
     return std::chrono::duration<double>(Clock::now() - Start).count();
   }
 
-  /// \returns nanoseconds elapsed since construction or the last reset().
-  uint64_t nanos() const {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             Start)
-            .count());
-  }
-
 private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point Start;

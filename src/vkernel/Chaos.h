@@ -7,11 +7,11 @@
 /// \file
 /// Deterministic fault/schedule injection for the concurrency kernel. The
 /// host scheduler only ever shows us the "lucky" interleavings, so races
-/// in the SpinLock/Safepoint/IpcChannel/Scheduler protocols can hide
-/// indefinitely. Every concurrency-critical boundary calls a named
-/// `chaos::point("...")`; when the engine is enabled it probabilistically
-/// yields the processor, sleeps a few microseconds, or forces a kernel
-/// Delay there, widening race windows by orders of magnitude.
+/// in the SpinLock/Safepoint/Scheduler protocols can hide indefinitely.
+/// Every concurrency-critical boundary calls a named `chaos::point("...")`;
+/// when the engine is enabled it probabilistically yields the processor,
+/// sleeps a few microseconds, or forces a kernel Delay there, widening
+/// race windows by orders of magnitude.
 ///
 /// Properties the stress suite depends on:
 ///  - **Disabled is free**: `point()` compiles to one relaxed load and a
@@ -82,7 +82,7 @@ bool failSlow(const char *Point);
 } // namespace detail
 
 /// The injection point. Call at every concurrency-critical boundary with
-/// a string-literal name ("spinlock.acquire", "ipc.send", ...).
+/// a string-literal name ("spinlock.acquire", "safepoint.poll", ...).
 /// \returns the action taken (None when disabled).
 inline Action point(const char *Point) {
   if (!detail::On.load(std::memory_order_relaxed))

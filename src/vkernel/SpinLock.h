@@ -72,9 +72,6 @@ public:
     return Ok;
   }
 
-  /// Enables or disables the lock. Only safe while no thread holds it.
-  void setEnabled(bool E) { Enabled = E; }
-
   /// \returns true when lock()/unlock() actually synchronize.
   bool isEnabled() const { return Enabled; }
 
@@ -99,7 +96,7 @@ public:
 
 private:
   std::atomic<uint8_t> Flag{0};
-  bool Enabled;
+  const bool Enabled;
   const char *TraceName;
   Counter Acquisitions;
   Counter Contended;

@@ -115,7 +115,6 @@ private:
   void reloadFrame();
   void writeBackIp();
 
-  Oop *ctxSlots() { return CtxH->slots(); }
   void pushValue(Oop V);
   Oop popValue();
   Oop topValue(unsigned Down = 0);

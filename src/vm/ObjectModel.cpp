@@ -26,10 +26,6 @@ bool ObjectModel::isKindOf(Oop O, Oop Cls) const {
 
 /// --- Bootstrap -------------------------------------------------------------
 
-Oop ObjectModel::allocClassShell(Oop Metaclass) {
-  return OM.allocateOldPointers(Metaclass, ClassSlotCount);
-}
-
 void ObjectModel::fillClass(Oop Cls, Oop Superclass, Oop NameSym,
                             intptr_t InstSpec, Oop InstVarNames,
                             const std::string &Category) {
@@ -495,18 +491,6 @@ void ObjectModel::mdAddMethod(Oop Cls, Oop Selector, Oop Method) {
   }
 }
 
-void ObjectModel::mdForEach(
-    Oop Md, const std::function<void(Oop, Oop)> &Fn) const {
-  Oop Table = ObjectMemory::fetchPointer(Md, MdTable);
-  ObjectHeader *T = Table.object();
-  uint32_t Cap = T->SlotCount / 2;
-  for (uint32_t I = 0; I < Cap; ++I) {
-    Oop Key = T->slots()[2 * I];
-    if (Key != K.NilObj)
-      Fn(Key, T->slots()[2 * I + 1]);
-  }
-}
-
 ObjectModel::LookupResult ObjectModel::lookupMethod(Oop Cls,
                                                     Oop Selector) const {
   for (Oop C = Cls; C != K.NilObj && !C.isNull();
@@ -593,16 +577,6 @@ Oop ObjectModel::globalAt(const std::string &Name) {
 void ObjectModel::globalPut(const std::string &Name, Oop Value) {
   Oop Assoc = globalAssociation(Name, /*CreateIfAbsent=*/true);
   OM.storePointer(Assoc, AssocValue, Value);
-}
-
-void ObjectModel::globalsForEach(const std::function<void(Oop)> &Fn) {
-  Oop Table = ObjectMemory::fetchPointer(K.SmalltalkDict, SysTable);
-  ObjectHeader *T = Table.object();
-  for (uint32_t I = 0; I < T->SlotCount; ++I) {
-    Oop Assoc = T->slots()[I];
-    if (Assoc != K.NilObj)
-      Fn(Assoc);
-  }
 }
 
 /// --- Debug ----------------------------------------------------------------

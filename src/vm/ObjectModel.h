@@ -350,10 +350,6 @@ public:
   /// a new table array is published with a single pointer store.
   void mdAddMethod(Oop Cls, Oop Selector, Oop Method);
 
-  /// Calls \p Fn for every (selector, method) pair in \p Md.
-  void mdForEach(Oop Md,
-                 const std::function<void(Oop Sel, Oop Mth)> &Fn) const;
-
   /// --- Method lookup -----------------------------------------------------
 
   struct LookupResult {
@@ -376,9 +372,6 @@ public:
   /// Binds global \p Name to \p Value (creating the Association).
   void globalPut(const std::string &Name, Oop Value);
 
-  /// Calls \p Fn for every Association in the system dictionary.
-  void globalsForEach(const std::function<void(Oop Assoc)> &Fn);
-
   /// --- Booleans ----------------------------------------------------------
 
   Oop boolFor(bool B) const { return B ? K.TrueObj : K.FalseObj; }
@@ -389,8 +382,6 @@ public:
   std::string describe(Oop O) const;
 
 private:
-  /// Allocates a raw 8-slot class object in old space.
-  Oop allocClassShell(Oop Metaclass);
   void fillClass(Oop Cls, Oop Superclass, Oop NameSym, intptr_t InstSpec,
                  Oop InstVarNames, const std::string &Category);
 

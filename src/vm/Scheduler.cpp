@@ -225,13 +225,6 @@ bool Scheduler::canRun(Oop Proc) {
   return List == readyListFor(Proc);
 }
 
-bool Scheduler::releaseAfterSlice(Oop Proc) {
-  SpinLockGuard Guard(Lock);
-  Om.memory().storePointer(Proc, ProcRunning, Oop::fromSmallInt(0));
-  Oop List = ObjectMemory::fetchPointer(Proc, ProcMyList);
-  return List != Om.nil() && List == readyListFor(Proc);
-}
-
 void Scheduler::waitForWork() {
   ProfStateScope Prof(ProfState::Idle);
   chaos::point("sched.wait");

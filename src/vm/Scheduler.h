@@ -93,11 +93,6 @@ public:
   /// the reorganized replacement for "is Process x active?".
   bool canRun(Oop Proc);
 
-  /// Clears the running flag after a slice; re-queues nothing (the process
-  /// never left the queue). \returns false when the process was suspended
-  /// or terminated meanwhile and must not continue.
-  bool releaseAfterSlice(Oop Proc);
-
   /// Blocks the calling interpreter until work may be available. The
   /// caller must hold no heap references (blocked region).
   void waitForWork();

@@ -497,10 +497,6 @@ ProfileReport VirtualMachine::buildProfileReport() {
   return resolveProfile(Profiler::data(), profileResolver());
 }
 
-std::string VirtualMachine::profileReport() {
-  return buildProfileReport().render();
-}
-
 bool mst::startVmProfiler(uint32_t Hz) {
   ProfilerOptions O;
   if (Hz)

@@ -246,9 +246,6 @@ public:
   /// against this VM's heap. Call from a registered mutator thread.
   ProfileReport buildProfileReport();
 
-  /// buildProfileReport().render() — the human-readable profile.
-  std::string profileReport();
-
 private:
   VmConfig Config;
   std::unique_ptr<ObjectMemory> OM;

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include <algorithm>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -220,6 +221,45 @@ TEST_F(FullGCTest, TriggerHeuristicBoundsOldSpace) {
   EXPECT_LT(BoundedPeak, UnboundedPeak / 2)
       << "full GC failed to bound old-space growth (bounded peak "
       << BoundedPeak << ", unbounded " << UnboundedPeak << ")";
+}
+
+TEST_F(FullGCTest, TriggerFiresForLargeObjectsAllocatedOld) {
+  // Objects over a quarter of eden are allocated straight into old space
+  // and never pass through a scavenge, where the trigger is otherwise
+  // checked. Unreferenced, they must still be collected once old space
+  // passes the threshold, not pile up until old space refuses one.
+  const size_t Threshold = 512 * 1024;
+  std::thread([Threshold] {
+    MemoryConfig C;
+    C.EdenBytes = 64 * 1024;
+    C.SurvivorBytes = 64 * 1024;
+    C.OldChunkBytes = 128 * 1024;
+    C.FullGcThresholdBytes = Threshold;
+    C.FullGcWorkers = 2;
+    ObjectMemory OM(C);
+    OM.registerMutator("large-objects");
+    Oop Nil = OM.allocateOldPointers(Oop(), 0);
+    OM.setNil(Nil);
+    Oop Cls = OM.allocateOldPointers(Nil, 0);
+    size_t PeakOld = 0;
+    for (int I = 0; I < 600; ++I) {
+      if (OM.allocateBytes(Cls, 20 * 1024).isNull()) {
+        ADD_FAILURE() << "allocation " << I << " refused";
+        break;
+      }
+      PeakOld = std::max(PeakOld, OM.oldSpaceUsed());
+    }
+    EXPECT_EQ(OM.statsSnapshot().Scavenges,
+              OM.fullGcStatsSnapshot().Collections)
+        << "only the full collections' own scavenges may run";
+    EXPECT_GE(OM.fullGcStatsSnapshot().Collections, 1u)
+        << "trigger never fired";
+    EXPECT_LT(PeakOld, 2 * Threshold)
+        << "old space grew to " << PeakOld << " bytes";
+    std::string Error;
+    EXPECT_TRUE(OM.verifyHeap(&Error)) << Error;
+    OM.unregisterMutator();
+  }).join();
 }
 
 TEST_F(FullGCTest, SmallAllocationsSplitLargeFreeRunsCheaply) {

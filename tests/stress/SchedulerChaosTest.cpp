@@ -7,7 +7,7 @@
 /// \file
 /// Whole-VM chaos: bootstrapped images running parallel Smalltalk macro
 /// workloads across a seed x interpreter-count sweep, with perturbation at
-/// every kernel boundary (locks, IPC, safepoints, dispatch, free-context
+/// every kernel boundary (locks, safepoints, dispatch, free-context
 /// pools). Afterwards the workload's arithmetic must be exact and the heap
 /// must pass the reachability verifier.
 ///
