@@ -19,10 +19,15 @@
 #                breaks the benchmark fails here. Last, the heap-ceiling
 #                run: mst_serve with four journaled shards under a 16 MiB
 #                MST_MAX_HEAP_BYTES must answer all 300,000 warm-up
-#                requests of perfbench_driver's serve_small load and exit
-#                0 within 30 s of SIGTERM, so serving under a heap ceiling
-#                stays crash-free.
+#                requests of perfbench_driver's serve_small load, peak at
+#                no more resident memory (VmHWM) than its four shards'
+#                heap ceilings together, and exit 0 within 30 s of
+#                SIGTERM, so serving under a heap ceiling stays
+#                crash-free and holds only the memory its heaps use.
 #   debug-chaos  Debug build, quick + stress suites with chaos enabled.
+#                The quick suite runs under malloc perturbation, so every
+#                heap space starts on non-zero bytes and a read of
+#                never-written heap memory fails a test.
 #   tsan         ThreadSanitizer + chaos, quick + stress suites. The
 #                stress label includes the full-GC chaos storms
 #                (FullGCChaosTest), racing parallel mark/sweep against
@@ -132,15 +137,17 @@ do_release() {
 }
 
 # The daemon bootstraps its shards itself (no --image), takes the
-# serve_small load on an ephemeral port, and must drain cleanly.
+# serve_small load on an ephemeral port, must fit in its shards' heap
+# ceilings, and must drain cleanly.
 heap_ceiling_run() {
   local out=build-ci/release/heap-ceiling warmup=300000
+  local shards=4 ceiling=16777216
   rm -rf "$out"
   mkdir -p "$out/data"
-  MST_MAX_HEAP_BYTES=16777216 build-ci/release/src/serve/mst_serve \
-    --port=0 --shards=4 --data-dir="$out/data" --journal \
+  MST_MAX_HEAP_BYTES=$ceiling build-ci/release/src/serve/mst_serve \
+    --port=0 --shards=$shards --data-dir="$out/data" --journal \
     >"$out/serve.log" 2>&1 &
-  local pid=$! port="" status=0
+  local pid=$! port="" status=0 hwm_kb=""
   for _ in $(seq 300); do
     port=$(sed -n 's/.*serving on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
       "$out/serve.log")
@@ -153,6 +160,9 @@ heap_ceiling_run() {
       --warmup="$warmup" --rate=10 --paced=10 --closed=10 \
       >"$out/loadgen.json" || true
   fi
+  # Peak resident memory over the whole load, read before the drain.
+  hwm_kb=$(sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' \
+    "/proc/$pid/status" 2>/dev/null || true)
   # The drain gets 30 s; a daemon still alive then is killed and fails
   # the step instead of hanging the lane.
   kill -TERM "$pid" 2>/dev/null || true
@@ -167,10 +177,13 @@ heap_ceiling_run() {
   else
     wait "$pid" || status=$?
   fi
-  python3 - "$out/loadgen.json" "$warmup" "$status" <<'PYEOF'
+  python3 - "$out/loadgen.json" "$warmup" "$status" "$hwm_kb" \
+    $((shards * ceiling / 1024)) <<'PYEOF'
 import json, sys
 
 path, warmup, status = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+hwm_kb = int(sys.argv[4]) if sys.argv[4] else None
+limit_kb = int(sys.argv[5])
 try:
     with open(path) as f:
         doc = json.loads(f.read().strip().splitlines()[-1])
@@ -179,9 +192,13 @@ except (OSError, ValueError, IndexError):
 ok = doc.get("phases", {}).get("warmup", {}).get("ok", 0)
 exit_text = ("did not exit on SIGTERM within 30 s (killed)"
              if status == "hung" else f"exit {status}")
+peak_text = ("unreadable" if hwm_kb is None
+             else f"{hwm_kb / 1024:.1f} MiB")
 print(f"heap ceiling: {ok}/{warmup} warm-up answers OK, "
-      f"problem {doc.get('problem')!r}, mst_serve {exit_text}")
-if ok != warmup or doc.get("problem") or status != "0":
+      f"problem {doc.get('problem')!r}, peak RSS {peak_text} "
+      f"(limit {limit_kb // 1024} MiB), mst_serve {exit_text}")
+if (ok != warmup or doc.get("problem") or status != "0"
+        or hwm_kb is None or hwm_kb > limit_kb):
     sys.exit(1)
 PYEOF
 }
@@ -190,7 +207,11 @@ do_debug_chaos() {
   banner "debug-chaos: Debug, quick + stress, chaos on"
   configure debug-chaos Debug ""
   cmake --build build-ci/debug-chaos -j "$JOBS"
-  run_suite debug-chaos quick
+  # glibc fills each allocation with a non-zero byte, and the raised mmap
+  # threshold sends the heap spaces through that path too; a read of a
+  # space byte nothing wrote then fails a test instead of reading zero.
+  MALLOC_PERTURB_=165 MALLOC_MMAP_THRESHOLD_=33554432 \
+    run_suite debug-chaos quick
   run_suite debug-chaos stress chaos
 }
 

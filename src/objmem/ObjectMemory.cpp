@@ -50,7 +50,7 @@ ObjectMemory::ObjectMemory(const MemoryConfig &InitialConfig)
   Survivors[1].init(Config.SurvivorBytes);
   if (Config.MaxHeapBytes) {
     // The ceiling covers the whole heap; eden and the survivor spaces are
-    // committed up front, so old space gets whatever remains.
+    // reserved up front, so old space gets whatever remains.
     size_t Fixed = Config.EdenBytes + 2 * Config.SurvivorBytes;
     if (Config.MaxHeapBytes <= Fixed + OldSpace::MinBlockBytes)
       panic("MaxHeapBytes (" + std::to_string(Config.MaxHeapBytes) +

@@ -19,8 +19,10 @@ static_assert(OldSpace::MinBlockBytes == sizeof(ObjectHeader),
 
 void LinearSpace::init(size_t Bytes) {
   assert(!Storage && "space already initialized");
-  // Over-align to 16 so every object header lands 8-byte aligned.
-  Storage = std::make_unique<uint8_t[]>(Bytes + 16);
+  // Over-align to 16 so every object header lands 8-byte aligned. Not
+  // zero-filled: nothing reads a byte before it is written (Spaces.h),
+  // so pages are committed only when first used.
+  Storage = std::make_unique_for_overwrite<uint8_t[]>(Bytes + 16);
   auto Raw = reinterpret_cast<uintptr_t>(Storage.get());
   Base = reinterpret_cast<uint8_t *>((Raw + 15) & ~uintptr_t(15));
   Limit = Base + Bytes;
@@ -170,7 +172,7 @@ uint8_t *OldSpace::allocateImpl(size_t Bytes, bool OverCeiling) {
       }
     }
     Chunk C;
-    C.Mem = std::make_unique<uint8_t[]>(NewChunk);
+    C.Mem = std::make_unique_for_overwrite<uint8_t[]>(NewChunk);
     auto Raw = reinterpret_cast<uintptr_t>(C.Mem.get());
     C.Base = reinterpret_cast<uint8_t *>((Raw + 15) & ~uintptr_t(15));
     C.Bytes = NewChunk - 16;

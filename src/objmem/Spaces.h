@@ -10,6 +10,14 @@
 /// non-moving old space. Survivor spaces support atomic bump allocation so
 /// parallel scavenge workers can copy concurrently.
 ///
+/// No space is zero-filled: nothing reads a space byte before an
+/// allocator or the scavenger writes it. Allocation writes every header
+/// and nil-fills or clears every body, the scavenger copies whole
+/// objects, free blocks are zap-filled, linear walks stop at a survivor
+/// space's frontier or a chunk's Top, and eden is never walked. So the
+/// host commits a space's pages when they are first written, and a heap
+/// holds only the memory its objects have touched.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MST_OBJMEM_SPACES_H

@@ -48,6 +48,8 @@ constexpr uint8_t KindIntent = 1;
 constexpr uint8_t KindOutcome = 2;
 // A payload larger than this is framing corruption, not a real record.
 constexpr uint32_t MaxRecordLen = 64u << 20;
+// Bytes per read when copying or walking the file.
+constexpr size_t ReadChunkBytes = 64u << 10;
 
 void putU32(std::vector<uint8_t> &B, uint32_t V) {
   for (int I = 0; I < 4; ++I)
@@ -99,30 +101,26 @@ bool writeAll(int Fd, const uint8_t *Data, size_t Len, std::string &Error) {
   return true;
 }
 
-bool readWholeFile(const std::string &Path, std::vector<uint8_t> &Out,
-                   std::string &Error) {
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0) {
-    Error = std::string("journal open for read failed: ") +
-            std::strerror(errno);
-    return false;
-  }
-  Out.clear();
-  uint8_t Buf[1 << 16];
-  for (;;) {
-    ssize_t N = ::read(Fd, Buf, sizeof(Buf));
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      Error = std::string("journal read failed: ") + std::strerror(errno);
-      ::close(Fd);
+/// Copies file bytes [From, To) of \p In to the end of \p Out through one
+/// fixed-size buffer.
+bool copyRange(int In, uint64_t From, uint64_t To, int Out,
+               std::string &Error) {
+  uint8_t Buf[ReadChunkBytes];
+  while (From < To) {
+    ssize_t N = ::pread(In, Buf, std::min<uint64_t>(sizeof(Buf), To - From),
+                        static_cast<off_t>(From));
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0) {
+      Error = N < 0 ? std::string("journal read failed: ") +
+                          std::strerror(errno)
+                    : std::string("journal shrank under us");
       return false;
     }
-    if (N == 0)
-      break;
-    Out.insert(Out.end(), Buf, Buf + N);
+    if (!writeAll(Out, Buf, static_cast<size_t>(N), Error))
+      return false;
+    From += static_cast<uint64_t>(N);
   }
-  ::close(Fd);
   return true;
 }
 
@@ -133,37 +131,88 @@ struct RawRecord {
   uint32_t Len;
 };
 
-/// Walks records in \p Data (file bytes past the header). Stops at the
-/// first torn/corrupt record and reports the physical offset of the good
-/// prefix end in \p GoodBytes.
-void scanRecords(const std::vector<uint8_t> &Data, uint64_t Base,
-                 std::vector<RawRecord> &Out, size_t &GoodBytes) {
-  size_t Off = FileHeaderSize;
-  GoodBytes = Off;
-  while (Off + RecordHeaderSize <= Data.size()) {
-    const uint8_t *H = Data.data() + Off;
-    if (getU32(H) != RecordMagic)
-      break;
-    uint32_t Crc = getU32(H + 4);
-    uint32_t Len = getU32(H + 8);
-    uint8_t Kind = H[12];
-    if (Len > MaxRecordLen || Off + RecordHeaderSize + Len > Data.size())
-      break;
+/// Walks the records in physical bytes [From, End) of an open journal,
+/// one at a time, with pread (the fd's append offset is untouched). The
+/// buffer holds one read chunk and grows only to fit the largest record,
+/// which MaxRecordLen caps; nothing here grows with the file.
+class RecordReader {
+public:
+  RecordReader(int Fd, uint64_t Base, uint64_t From, uint64_t End)
+      : Fd(Fd), Base(Base), End(End), Good(From), ReadOff(From) {}
+
+  /// Fills \p R with the next whole record; its payload stays valid until
+  /// the next call. \returns false at the end of the good prefix: the end
+  /// of the range, a torn or corrupt record, or a read error (error()).
+  bool next(RawRecord &R) {
+    if (!fill(RecordHeaderSize))
+      return false;
+    uint32_t Len = getU32(Buf.data() + Begin + 8);
+    if (getU32(Buf.data() + Begin) != RecordMagic || Len > MaxRecordLen ||
+        !fill(RecordHeaderSize + Len))
+      return false;
+    const uint8_t *H = Buf.data() + Begin;
     const uint8_t *Payload = H + RecordHeaderSize;
-    if (crc32(Payload, Len) != Crc)
-      break;
-    if (Kind != KindIntent && Kind != KindOutcome)
-      break;
-    RawRecord R;
+    uint8_t Kind = H[12];
+    if (crc32(Payload, Len) != getU32(H + 4) ||
+        (Kind != KindIntent && Kind != KindOutcome))
+      return false;
     R.Kind = Kind;
-    R.Pos = Base + (Off - FileHeaderSize);
+    R.Pos = Base + (Good - FileHeaderSize);
     R.Payload = Payload;
     R.Len = Len;
-    Out.push_back(R);
-    Off += RecordHeaderSize + Len;
-    GoodBytes = Off;
+    Begin += RecordHeaderSize + Len;
+    Good += RecordHeaderSize + Len;
+    return true;
   }
-}
+
+  /// Physical offset just past the last whole record returned.
+  uint64_t goodBytes() const { return Good; }
+
+  const std::string &error() const { return Err; }
+
+private:
+  /// Makes \p N bytes from offset Good available at Buf[Begin].
+  /// \returns false when the range ends first or a read fails.
+  bool fill(size_t N) {
+    if (Filled - Begin >= N)
+      return true;
+    if (Good + N > End)
+      return false;
+    if (Begin > 0) {
+      std::memmove(Buf.data(), Buf.data() + Begin, Filled - Begin);
+      Filled -= Begin;
+      Begin = 0;
+    }
+    if (Buf.size() < N)
+      Buf.resize(std::max(N, ReadChunkBytes));
+    while (Filled < N) {
+      ssize_t Got = ::pread(
+          Fd, Buf.data() + Filled,
+          std::min<uint64_t>(Buf.size() - Filled, End - ReadOff),
+          static_cast<off_t>(ReadOff));
+      if (Got < 0 && errno == EINTR)
+        continue;
+      if (Got <= 0) {
+        if (Got < 0)
+          Err = std::string("journal read failed: ") + std::strerror(errno);
+        return false;
+      }
+      Filled += static_cast<size_t>(Got);
+      ReadOff += static_cast<uint64_t>(Got);
+    }
+    return true;
+  }
+
+  int Fd;
+  uint64_t Base;
+  uint64_t End;
+  uint64_t Good;    ///< physical offset of Buf[Begin]
+  uint64_t ReadOff; ///< physical offset of Buf[Filled]
+  std::vector<uint8_t> Buf;
+  size_t Begin = 0;
+  size_t Filled = 0;
+  std::string Err;
+};
 
 bool parseIntent(const RawRecord &R, Journal::Entry &E) {
   if (R.Len < 32)
@@ -180,26 +229,18 @@ bool parseIntent(const RawRecord &R, Journal::Entry &E) {
   return true;
 }
 
-struct ParsedOutcome {
-  uint64_t RecordId;
-  Journal::Outcome Out;
-  bool Ok;
-  std::string Value;
-};
-
-bool parseOutcome(const RawRecord &R, ParsedOutcome &O) {
+/// Joins outcome record \p R into \p E. \returns false, leaving \p E
+/// alone, when the payload is malformed.
+bool parseOutcome(const RawRecord &R, Journal::Entry &E) {
   if (R.Len < 32)
     return false;
-  O.RecordId = getU64(R.Payload);
   uint8_t Status = R.Payload[24];
-  if (Status < 1 || Status > 4)
-    return false;
-  O.Out = static_cast<Journal::Outcome>(Status);
-  O.Ok = R.Payload[25] != 0;
   uint32_t ValLen = getU32(R.Payload + 28);
-  if (32 + static_cast<uint64_t>(ValLen) > R.Len)
+  if (Status < 1 || Status > 4 || 32 + static_cast<uint64_t>(ValLen) > R.Len)
     return false;
-  O.Value.assign(reinterpret_cast<const char *>(R.Payload + 32), ValLen);
+  E.Out = static_cast<Journal::Outcome>(Status);
+  E.Ok = R.Payload[25] != 0;
+  E.Value.assign(reinterpret_cast<const char *>(R.Payload + 32), ValLen);
   return true;
 }
 
@@ -212,85 +253,75 @@ bool Journal::open(const std::string &P, std::string &Error) {
     Fd = -1;
   }
   Path = P;
+  Broken = false;
 
-  std::vector<uint8_t> Data;
-  struct stat St;
-  bool Exists = ::stat(P.c_str(), &St) == 0 && St.st_size > 0;
-  if (Exists && !readWholeFile(P, Data, Error))
+  // O_APPEND: every append lands at the file's end, which appendRecord
+  // keeps equal to FileBytes.
+  int NewFd = ::open(P.c_str(), O_CREAT | O_RDWR | O_APPEND, 0644);
+  if (NewFd < 0) {
+    Error = std::string("journal open failed: ") + std::strerror(errno);
     return false;
+  }
+  auto Fail = [&](std::string Msg) {
+    Error = std::move(Msg);
+    ::close(NewFd);
+    return false;
+  };
+  struct stat St {};
+  if (::fstat(NewFd, &St) != 0)
+    return Fail(std::string("journal stat failed: ") + std::strerror(errno));
+  uint64_t Size = static_cast<uint64_t>(St.st_size);
 
-  if (!Exists || Data.size() < FileHeaderSize) {
+  if (Size < FileHeaderSize) {
     // Fresh (or unusably short) journal: write a clean header, Base 0.
     // A sub-header file can only be a torn first write — nothing in it
     // was ever synced, so starting over loses nothing.
-    int NewFd = ::open(P.c_str(), O_CREAT | O_RDWR | O_TRUNC, 0644);
-    if (NewFd < 0) {
-      Error = std::string("journal create failed: ") + std::strerror(errno);
-      return false;
-    }
     auto H = buildFileHeader(0);
-    if (!writeAll(NewFd, H.data(), H.size(), Error)) {
-      ::close(NewFd);
-      return false;
-    }
-    if (::fsync(NewFd) != 0) {
-      Error = std::string("journal header fsync failed: ") +
-              std::strerror(errno);
-      ::close(NewFd);
-      return false;
-    }
-    Fd = NewFd;
+    if (::ftruncate(NewFd, 0) != 0)
+      return Fail(std::string("journal create failed: ") +
+                  std::strerror(errno));
+    if (!writeAll(NewFd, H.data(), H.size(), Error))
+      return Fail(Error);
+    if (::fsync(NewFd) != 0)
+      return Fail(std::string("journal header fsync failed: ") +
+                  std::strerror(errno));
     Base = 0;
     FileBytes = FileHeaderSize;
-    SyncedBytes = FileBytes;
     NextRecordId = 1;
-    if (Exists)
+    if (Size > 0)
       ++Torn;
-    return true;
-  }
+  } else {
+    uint8_t H[FileHeaderSize] = {};
+    if (::pread(NewFd, H, FileHeaderSize, 0) !=
+        static_cast<ssize_t>(FileHeaderSize))
+      return Fail(std::string("journal read failed: ") +
+                  std::strerror(errno));
+    if (getU32(H) != FileMagic || getU32(H + 4) != FileVersion ||
+        crc32(H, 16) != getU32(H + 16))
+      return Fail("journal header corrupt: " + P);
+    Base = getU64(H + 8);
 
-  if (getU32(Data.data()) != FileMagic ||
-      getU32(Data.data() + 4) != FileVersion ||
-      crc32(Data.data(), 16) != getU32(Data.data() + 16)) {
-    Error = "journal header corrupt: " + P;
-    return false;
-  }
-  Base = getU64(Data.data() + 8);
-
-  std::vector<RawRecord> Records;
-  size_t GoodBytes = 0;
-  scanRecords(Data, Base, Records, GoodBytes);
-
-  uint64_t MaxId = 0;
-  for (const auto &R : Records)
-    if (R.Len >= 8)
-      MaxId = std::max(MaxId, getU64(R.Payload));
-
-  int NewFd = ::open(P.c_str(), O_RDWR);
-  if (NewFd < 0) {
-    Error = std::string("journal reopen failed: ") + std::strerror(errno);
-    return false;
-  }
-  if (GoodBytes < Data.size()) {
-    // Torn tail: drop the partial record so appends resume on a clean
-    // boundary. Everything below GoodBytes passed its CRC.
-    if (::ftruncate(NewFd, static_cast<off_t>(GoodBytes)) != 0) {
-      Error = std::string("journal tail repair failed: ") +
-              std::strerror(errno);
-      ::close(NewFd);
-      return false;
+    RecordReader Reader(NewFd, Base, FileHeaderSize, Size);
+    RawRecord R{};
+    uint64_t MaxId = 0;
+    while (Reader.next(R))
+      if (R.Len >= 8)
+        MaxId = std::max(MaxId, getU64(R.Payload));
+    if (!Reader.error().empty())
+      return Fail(Reader.error());
+    if (Reader.goodBytes() < Size) {
+      // Torn tail: drop the partial record so appends resume on a clean
+      // boundary. Everything below goodBytes() passed its CRC.
+      if (::ftruncate(NewFd, static_cast<off_t>(Reader.goodBytes())) != 0)
+        return Fail(std::string("journal tail repair failed: ") +
+                    std::strerror(errno));
+      ++Torn;
     }
-    ++Torn;
-  }
-  if (::lseek(NewFd, 0, SEEK_END) < 0) {
-    Error = std::string("journal seek failed: ") + std::strerror(errno);
-    ::close(NewFd);
-    return false;
+    FileBytes = Reader.goodBytes();
+    NextRecordId = MaxId + 1;
   }
   Fd = NewFd;
-  FileBytes = GoodBytes;
-  SyncedBytes = GoodBytes;
-  NextRecordId = MaxId + 1;
+  SyncedBytes = FileBytes;
   return true;
 }
 
@@ -308,6 +339,10 @@ bool Journal::appendRecord(uint8_t Kind, const std::vector<uint8_t> &Payload,
     Error = "journal not open";
     return false;
   }
+  if (Broken) {
+    Error = "journal append refused: a failed write could not be cut back";
+    return false;
+  }
   if (chaos::failPoint("journal.append.fail")) {
     Error = "journal append failed (chaos: journal.append.fail)";
     return false;
@@ -322,8 +357,15 @@ bool Journal::appendRecord(uint8_t Kind, const std::vector<uint8_t> &Payload,
   Rec.push_back(0);
   Rec.push_back(0);
   Rec.insert(Rec.end(), Payload.begin(), Payload.end());
-  if (!writeAll(Fd, Rec.data(), Rec.size(), Error))
+  if (!writeAll(Fd, Rec.data(), Rec.size(), Error)) {
+    // A write that failed part-way (ENOSPC, EFBIG, EIO) left a partial
+    // record behind. Cut it off so the next record lands at FileBytes; a
+    // record appended past the garbage would be cut off by the next
+    // open(), so if the cut fails, refuse every later append.
+    if (::ftruncate(Fd, static_cast<off_t>(FileBytes)) != 0)
+      Broken = true;
     return false;
+  }
   FileBytes += Rec.size();
   return true;
 }
@@ -399,42 +441,28 @@ bool Journal::scan(uint64_t FromPos, std::vector<Entry> &Out,
     Error = "journal not open";
     return false;
   }
-  std::vector<uint8_t> Data;
-  if (!readWholeFile(Path, Data, Error))
-    return false;
-  if (Data.size() < FileHeaderSize) {
-    Error = "journal shrank under us: " + Path;
-    return false;
-  }
-  uint64_t FileBase = getU64(Data.data() + 8);
-  std::vector<RawRecord> Records;
-  size_t GoodBytes = 0;
-  scanRecords(Data, FileBase, Records, GoodBytes);
-
   // Outcomes always land after their intent, so one ordered pass with a
-  // RecordId index joins them.
+  // RecordId index joins them. Records below FromPos are passed over
+  // before anything is copied out of them.
   std::unordered_map<uint64_t, size_t> ByRecordId;
-  for (const auto &R : Records) {
+  RecordReader Reader(Fd, Base, FileHeaderSize, FileBytes);
+  RawRecord R{};
+  while (Reader.next(R)) {
     if (R.Kind == KindIntent) {
       Entry E;
-      if (!parseIntent(R, E))
-        continue;
-      if (E.Pos < FromPos)
+      if (R.Pos < FromPos || !parseIntent(R, E))
         continue;
       ByRecordId[E.RecordId] = Out.size();
       Out.push_back(std::move(E));
-    } else {
-      ParsedOutcome O;
-      if (!parseOutcome(R, O))
-        continue;
-      auto It = ByRecordId.find(O.RecordId);
-      if (It == ByRecordId.end())
-        continue; // outcome for an intent below FromPos (or compacted away)
-      Entry &E = Out[It->second];
-      E.Out = O.Out;
-      E.Ok = O.Ok;
-      E.Value = std::move(O.Value);
+    } else if (R.Len >= 8) {
+      auto It = ByRecordId.find(getU64(R.Payload));
+      if (It != ByRecordId.end()) // else its intent is below FromPos
+        parseOutcome(R, Out[It->second]);
     }
+  }
+  if (!Reader.error().empty()) {
+    Error = Reader.error();
+    return false;
   }
   return true;
 }
@@ -457,14 +485,7 @@ bool Journal::truncateBelow(uint64_t Mark, std::string &Error) {
     return false;
   }
 
-  std::vector<uint8_t> Data;
-  if (!readWholeFile(Path, Data, Error))
-    return false;
-  size_t CutOff = FileHeaderSize + static_cast<size_t>(Mark - Base);
-  if (CutOff > Data.size()) {
-    Error = "journal truncate cut past file end";
-    return false;
-  }
+  uint64_t CutOff = FileHeaderSize + (Mark - Base);
 
   // Same commit discipline as snapshots: unique tmp, fsync, rename. A
   // crash mid-compaction leaves either the old journal or the new one,
@@ -478,9 +499,7 @@ bool Journal::truncateBelow(uint64_t Mark, std::string &Error) {
   }
   auto H = buildFileHeader(Mark);
   bool WriteOk = writeAll(TmpFd, H.data(), H.size(), Error) &&
-                 (CutOff == Data.size() ||
-                  writeAll(TmpFd, Data.data() + CutOff, Data.size() - CutOff,
-                           Error));
+                 copyRange(Fd, CutOff, FileBytes, TmpFd, Error);
   if (WriteOk && ::fsync(TmpFd) != 0) {
     Error = std::string("journal compact fsync failed: ") +
             std::strerror(errno);
@@ -504,16 +523,10 @@ bool Journal::truncateBelow(uint64_t Mark, std::string &Error) {
             std::strerror(errno);
     return false;
   }
-  if (::lseek(NewFd, 0, SEEK_END) < 0) {
-    Error = std::string("journal seek after compact failed: ") +
-            std::strerror(errno);
-    ::close(NewFd);
-    return false;
-  }
   ::close(Fd);
   Fd = NewFd;
   Base = Mark;
-  FileBytes = FileHeaderSize + (Data.size() - CutOff);
+  FileBytes = FileHeaderSize + (FileBytes - CutOff);
   SyncedBytes = FileBytes;
   return true;
 }
@@ -546,20 +559,16 @@ uint64_t Journal::tearTail(uint64_t MaxCut, uint64_t Salt) {
   // A real tear is followed by open()'s boundary repair before appends
   // resume; in-process the fd stays open, so repair here — appending
   // after a half-record would bury every later record behind a CRC
-  // failure.
-  std::string Err;
-  std::vector<uint8_t> Data;
-  if (!readWholeFile(Path, Data, Err) || Data.size() < FileHeaderSize)
+  // failure. Only the window past SyncedBytes tore, and SyncedBytes is a
+  // record boundary, so the walk starts there.
+  RecordReader Reader(Fd, Base, SyncedBytes, NewSize);
+  RawRecord R{};
+  while (Reader.next(R)) {
+  }
+  if (Reader.goodBytes() < NewSize &&
+      ::ftruncate(Fd, static_cast<off_t>(Reader.goodBytes())) != 0)
     return 0;
-  std::vector<RawRecord> Records;
-  size_t GoodBytes = 0;
-  scanRecords(Data, Base, Records, GoodBytes);
-  if (GoodBytes < Data.size() &&
-      ::ftruncate(Fd, static_cast<off_t>(GoodBytes)) != 0)
-    return 0;
-  if (::lseek(Fd, 0, SEEK_END) < 0)
-    return 0;
-  FileBytes = GoodBytes;
+  FileBytes = Reader.goodBytes();
   ++Torn;
   return Cut;
 }

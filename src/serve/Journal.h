@@ -95,8 +95,10 @@ public:
 
   /// Opens (creating if absent) the journal at \p Path, scanning every
   /// record: a torn or corrupt tail is truncated back to the last whole
-  /// record (counted in tornRepairs()). \returns false with \p Error set
-  /// when the file cannot be opened or its header is unusable.
+  /// record (counted in tornRepairs()). Records are read one at a time,
+  /// so memory is bounded by the largest record, not the file.
+  /// \returns false with \p Error set when the file cannot be opened or
+  /// its header is unusable.
   bool open(const std::string &Path, std::string &Error);
 
   void close();
@@ -104,7 +106,9 @@ public:
   /// Appends one intent record (not yet durable — call sync() at the
   /// batch boundary). \p RecordId receives the journal-unique id the
   /// outcome record must echo. The `journal.append.fail` chaos point
-  /// fails this deterministically. \returns false with \p Error set.
+  /// fails this deterministically. A write that fails part-way is cut
+  /// back off the file; if that cut fails too, every later append is
+  /// refused. \returns false with \p Error set.
   bool appendIntent(uint64_t ClientId, uint64_t Seq, bool HasSeq,
                     const std::string &Source, uint64_t &RecordId,
                     std::string &Error);
@@ -124,18 +128,20 @@ public:
   /// Re-reads the file and returns every intent with logical position
   /// >= \p FromPos, joined with its outcome record (outcomes always
   /// follow their intent, so the scan window sees them). Stops cleanly
-  /// at a torn tail.
+  /// at a torn tail. Records are read one at a time: beyond \p Out,
+  /// memory is bounded by the largest record, not the file.
   bool scan(uint64_t FromPos, std::vector<Entry> &Out,
             std::string &Error) const;
 
   /// Compacts away every record below logical position \p Mark via the
   /// snapshot write protocol (unique tmp + fsync + rename; a crash
   /// leaves either the old or the new file). Positions are preserved:
-  /// the new file's base is \p Mark. Call only after the checkpoint
-  /// covering \p Mark has committed (its rename landed), and only from
-  /// the shard thread, the journal's one writer. The
-  /// `journal.truncate.fail` chaos point fails it; the journal then just
-  /// stays longer — replay remains correct.
+  /// the new file's base is \p Mark. The kept tail is copied through one
+  /// fixed-size buffer, so memory does not grow with the file. Call only
+  /// after the checkpoint covering \p Mark has committed (its rename
+  /// landed), and only from the shard thread, the journal's one writer.
+  /// The `journal.truncate.fail` chaos point fails it; the journal then
+  /// just stays longer — replay remains correct.
   bool truncateBelow(uint64_t Mark, std::string &Error);
 
   /// Logical end position: Base + bytes appended since. The checkpoint
@@ -143,7 +149,7 @@ public:
   /// in the image being saved.
   uint64_t endPos() const;
 
-  /// Physical file size right now (health reporting).
+  /// File size: the header plus every whole record (health reporting).
   uint64_t bytes() const;
 
   /// Torn-tail repairs performed by open().
@@ -163,10 +169,11 @@ private:
   std::string Path;
   int Fd = -1;
   uint64_t Base = 0;       ///< logical position of physical offset 0 past header
-  uint64_t FileBytes = 0;  ///< current physical size
-  uint64_t SyncedBytes = 0; ///< physical size at the last sync()
+  uint64_t FileBytes = 0;  ///< bytes of the header plus whole records
+  uint64_t SyncedBytes = 0; ///< FileBytes at the last sync()
   uint64_t NextRecordId = 1;
   uint64_t Torn = 0;
+  bool Broken = false; ///< a failed write was not cut back: refuse appends
 };
 
 /// Bounded per-client response cache keyed (ClientId, Seq): the serving
@@ -212,7 +219,7 @@ private:
   size_t Entries = 0;
   std::unordered_map<uint64_t, ClientEntry> Clients;
   std::list<uint64_t> ClientOrder; ///< client insertion order (FIFO)
-  std::unordered_set<uint64_t> InFlight; ///< (Client<<20 ^ Seq) — see .cpp
+  std::unordered_set<uint64_t> InFlight; ///< flightKey(Client, Seq) — see .cpp
 };
 
 } // namespace serve

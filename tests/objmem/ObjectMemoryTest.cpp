@@ -4,10 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include <malloc.h>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "MemoryProbe.h"
 #include "objmem/ObjectMemory.h"
 
 using namespace mst;
@@ -29,6 +31,32 @@ protected:
   ObjectMemory OM;
   Oop Nil, FakeClass;
 };
+
+/// Builds a default heap and allocates in eden and old space.
+/// \returns a failure message when that raised VmRSS by 4 MB or more.
+std::string freshHeapResidentGrowth() {
+  // MALLOC_PERTURB_ makes malloc itself write every byte it hands out;
+  // turn it off so only the heap's own writes count.
+  mallopt(M_PERTURB, 0);
+  long Before = test::procStatusKb("VmRSS");
+  ObjectMemory OM{MemoryConfig{}};
+  OM.registerMutator("test");
+  Oop Nil = OM.allocateOldPointers(Oop(), 0);
+  OM.setNil(Nil);
+  OM.allocatePointers(OM.allocateOldPointers(Nil, 0), 4);
+  long GrowthKb = test::procStatusKb("VmRSS") - Before;
+  OM.unregisterMutator();
+  if (Before < 0 || GrowthKb >= 4 * 1024)
+    return "a fresh heap raised VmRSS by " + std::to_string(GrowthKb) +
+           " kB (bound 4096 kB)";
+  return "";
+}
+
+// Spaces are not zero-filled, so a heap commits only the pages it writes.
+// VmRSS is per process, so the case runs in a forked child.
+TEST(ObjectMemoryFootprintTest, FreshHeapCommitsOnlyWhatItTouches) {
+  EXPECT_PASSES_IN_CHILD(freshHeapResidentGrowth);
+}
 
 TEST_F(ObjectMemoryTest, PointerObjectsAreNilFilled) {
   Oop O = OM.allocatePointers(FakeClass, 5);

@@ -8,17 +8,24 @@
 /// Unit tests for the per-shard write-ahead request journal: record
 /// framing and round trips, torn-tail repair on reopen, logical-position
 /// preservation across truncateBelow() compaction, the tearTail() chaos
-/// hook, and the bounded DedupTable.
+/// hook, the cut-back of a write that fails part-way, memory that stays
+/// bounded on a large journal, and the bounded DedupTable.
 ///
 //===----------------------------------------------------------------------===//
 
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+#include <sys/stat.h>
+
 #include <gtest/gtest.h>
 
+#include "MemoryProbe.h"
 #include "serve/Journal.h"
 #include "serve/ServeTestUtil.h"
 
@@ -217,6 +224,143 @@ TEST(JournalTest, TearTailOnlyCutsUnsyncedBytesAndSelfRepairs) {
   ASSERT_TRUE(J.sync(Error));
   E = mustScan(J, 0);
   EXPECT_EQ(E.back().Source, "'post-tear'");
+}
+
+uint64_t fileSize(const std::string &Path) {
+  struct stat St {};
+  return ::stat(Path.c_str(), &St) == 0 ? static_cast<uint64_t>(St.st_size)
+                                        : 0;
+}
+
+/// Appends A, has B fail part-way under a file-size limit, appends C, then
+/// reopens. \returns a failure message, empty when A and C both survive.
+std::string appendAfterPartialWrite(const std::string &Path) {
+  std::signal(SIGXFSZ, SIG_IGN); // EFBIG instead of a fatal signal
+  std::string Error;
+  uint64_t Id = 0;
+  Journal J;
+  if (!J.open(Path, Error))
+    return "open: " + Error;
+  if (!J.appendIntent(1, 1, true, "'A'", Id, Error) || !J.sync(Error))
+    return "append A: " + Error;
+  rlimit Saved{};
+  if (::getrlimit(RLIMIT_FSIZE, &Saved) != 0)
+    return "getrlimit failed";
+  rlimit Tight = Saved;
+  Tight.rlim_cur = J.bytes() + 20;
+  if (::setrlimit(RLIMIT_FSIZE, &Tight) != 0)
+    return "setrlimit failed";
+  bool AppendedB =
+      J.appendIntent(1, 2, true, std::string(200, 'B'), Id, Error);
+  ::setrlimit(RLIMIT_FSIZE, &Saved);
+  if (AppendedB)
+    return "B was appended past the file-size limit";
+  if (!J.appendIntent(1, 3, true, "'C'", Id, Error) || !J.sync(Error))
+    return "append C: " + Error;
+  uint64_t End = J.endPos();
+  if (fileSize(Path) != J.bytes())
+    return "file holds " + std::to_string(fileSize(Path)) +
+           " bytes, the journal believes " + std::to_string(J.bytes());
+  J.close();
+
+  Journal R;
+  if (!R.open(Path, Error))
+    return "reopen: " + Error;
+  std::vector<Journal::Entry> E;
+  if (!R.scan(0, E, Error))
+    return "scan: " + Error;
+  std::string Sources;
+  for (const Journal::Entry &X : E)
+    Sources += X.Source + ";";
+  if (R.tornRepairs() != 0 || Sources != "'A';'C';" || R.endPos() != End)
+    return "after reopen: " + std::to_string(R.tornRepairs()) +
+           " torn repairs, sources [" + Sources + "], endPos " +
+           std::to_string(R.endPos()) + " (was " + std::to_string(End) + ")";
+  return "";
+}
+
+// rlimits are per process, so the case runs in a forked child.
+TEST(JournalTest, WriteFailedPartWayIsCutBackSoLaterRecordsSurvive) {
+  std::string Dir = makeTempDir();
+  EXPECT_PASSES_IN_CHILD(
+      [&] { return appendAfterPartialWrite(Dir + "/shard.journal"); });
+  std::filesystem::remove_all(Dir);
+}
+
+/// Builds a 48 MB journal, then bounds how far each of open(), scan() of
+/// the last records and truncateBelow() at mid-file raises the peak RSS.
+/// \returns a failure message, empty on success.
+std::string largeJournalStaysBounded(const std::string &Path) {
+  constexpr int Records = 12288;
+  constexpr long BoundKb = 8 * 1024;
+  std::string Error;
+  uint64_t Mark = 0, NearEnd = 0;
+  {
+    Journal J;
+    if (!J.open(Path, Error))
+      return "open: " + Error;
+    for (int I = 0; I < Records; ++I) {
+      if (I == Records / 2)
+        Mark = J.endPos();
+      if (I == Records - 4)
+        NearEnd = J.endPos();
+      uint64_t Id = 0;
+      if (!J.appendIntent(1, static_cast<uint64_t>(I), true,
+                          std::to_string(I) + std::string(4096, 'x'), Id,
+                          Error))
+        return "append: " + Error;
+    }
+    if (!J.sync(Error))
+      return "sync: " + Error;
+    if (J.bytes() < (48u << 20))
+      return "journal only " + std::to_string(J.bytes()) + " bytes";
+  }
+
+  Journal J;
+  bool Ok = false;
+  long OpenKb = test::peakGrowthKb([&] { Ok = J.open(Path, Error); });
+  if (!Ok)
+    return "reopen: " + Error;
+  if (OpenKb < 0)
+    return "cannot reset the peak RSS through /proc/self/clear_refs";
+  std::vector<Journal::Entry> Tail;
+  long ScanKb = test::peakGrowthKb([&] { Ok = J.scan(NearEnd, Tail, Error); });
+  if (!Ok || Tail.size() != 4)
+    return "scan of the last records: " + std::to_string(Tail.size()) +
+           " entries " + Error;
+
+  std::vector<Journal::Entry> Below;
+  if (!J.scan(Mark, Below, Error))
+    return "scan from the mark: " + Error;
+  long CompactKb =
+      test::peakGrowthKb([&] { Ok = J.truncateBelow(Mark, Error); });
+  if (!Ok)
+    return "truncateBelow: " + Error;
+  std::vector<Journal::Entry> Kept;
+  if (!J.scan(0, Kept, Error))
+    return "scan after compaction: " + Error;
+  if (Kept.size() != Below.size() || Kept.size() != Records / 2)
+    return "compaction kept " + std::to_string(Kept.size()) + " of " +
+           std::to_string(Below.size()) + " entries";
+  for (size_t I = 0; I < Kept.size(); ++I)
+    if (Kept[I].RecordId != Below[I].RecordId ||
+        Kept[I].Pos != Below[I].Pos || Kept[I].Source != Below[I].Source)
+      return "compaction changed entry " + std::to_string(I);
+
+  if (OpenKb >= BoundKb || ScanKb >= BoundKb || CompactKb >= BoundKb)
+    return "peak RSS grew by " + std::to_string(OpenKb) + " kB in open(), " +
+           std::to_string(ScanKb) + " kB in scan(), " +
+           std::to_string(CompactKb) + " kB in truncateBelow() (bound " +
+           std::to_string(BoundKb) + " kB)";
+  return "";
+}
+
+// The peak-RSS counter is per process, so the case runs in a forked child.
+TEST(JournalTest, OpenScanAndCompactionHoldBoundedMemory) {
+  std::string Dir = makeTempDir();
+  EXPECT_PASSES_IN_CHILD(
+      [&] { return largeJournalStaysBounded(Dir + "/shard.journal"); });
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(JournalTest, DedupTableCachesBoundsAndTracksInFlight) {
