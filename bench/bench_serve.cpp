@@ -189,12 +189,10 @@ int main(int argc, char **argv) {
   Config.Pool.BaseImage = Flags.ImagePath;
   Config.Pool.DataDir = DataDir;
   Config.Pool.Vm = VmConfig::multiprocessor(1);
-  // Overload-control knobs the phase-2 storm runs against. The queue
+  // Overload-control knob the phase-2 storm runs against. The queue
   // budget is far above phase 1's ~250 outstanding per shard, so the
-  // headline numbers stay comparable across runs; AbortGraceMs only
-  // matters if an abort fails to land (escalation is a storm failure).
+  // headline numbers stay comparable across runs.
   Config.QueueBudget = 1024;
-  Config.Pool.AbortGraceMs = 2000;
   // Durability on for the whole run: phase 1's headline req/s includes
   // the once-per-batch journal fsync, phase 3 gates on replay + dedup.
   Config.Pool.Journal = true;
@@ -353,8 +351,8 @@ int main(int argc, char **argv) {
   double AcceptedP50 = pctile(Agg.AcceptedMs, 0.50);
   double AcceptedP99 = pctile(Agg.AcceptedMs, 0.99);
 
-  // The runaway's shard keeps serving, with no reboot (the abort landed
-  // inside the VM; escalation would show up as a restart).
+  // The runaway's shard keeps serving, with no reboot (its deadline
+  // unwound it inside the VM).
   bool ShardServes = false;
   if (!Storm.empty()) {
     bool Ok = false;

@@ -6,6 +6,8 @@
 
 #include "obs/Telemetry.h"
 
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <map>
@@ -204,11 +206,29 @@ std::string Telemetry::toJson(const Snapshot &S) {
   return Out;
 }
 
-uint64_t Telemetry::nowNs() {
+namespace {
+std::chrono::steady_clock::time_point traceEpoch() {
   static const std::chrono::steady_clock::time_point Epoch =
       std::chrono::steady_clock::now();
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - Epoch)
-          .count());
+  return Epoch;
+}
+
+uint64_t sinceTraceEpochNs(std::chrono::steady_clock::time_point T) {
+  auto D = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      T - traceEpoch());
+  return D.count() > 0 ? static_cast<uint64_t>(D.count()) : 0;
+}
+} // namespace
+
+uint64_t Telemetry::nowNs() {
+  return sinceTraceEpochNs(std::chrono::steady_clock::now());
+}
+
+uint64_t Telemetry::coarseNowNs() {
+  // steady_clock reads CLOCK_MONOTONIC on Linux; the coarse clock is the
+  // same clock sampled at the last tick, so both share the epoch.
+  timespec Ts;
+  clock_gettime(CLOCK_MONOTONIC_COARSE, &Ts);
+  return sinceTraceEpochNs(std::chrono::steady_clock::time_point(
+      std::chrono::seconds(Ts.tv_sec) + std::chrono::nanoseconds(Ts.tv_nsec)));
 }

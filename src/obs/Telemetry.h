@@ -169,6 +169,11 @@ public:
   /// \returns nanoseconds since the process's trace epoch (first use).
   static uint64_t nowNs();
 
+  /// nowNs() as of the kernel's last timer tick: a few ns per read
+  /// instead of tens, and behind nowNs() by at most one tick (1-10 ms).
+  /// For checks on hot paths that may fire that much late.
+  static uint64_t coarseNowNs();
+
 private:
   friend class Counter;
   friend class Gauge;

@@ -94,9 +94,6 @@ std::string serve::buildHealthJson(ShardPool &Pool, ServeStats &Stats,
            ",\"oldest_queued_ms\":" + std::to_string(H.OldestQueuedMs) +
            ",\"deadline_expired\":" +
            std::to_string(H.DeadlineExpired) +
-           ",\"aborts\":" + std::to_string(H.Aborts) +
-           ",\"aborts_escalated\":" +
-           std::to_string(H.AbortsEscalated) +
            ",\"journal_bytes\":" + std::to_string(H.JournalBytes) +
            ",\"replayed\":" + std::to_string(H.Replayed) +
            ",\"dedup_size\":" + std::to_string(H.DedupSize) +

@@ -70,7 +70,7 @@ public:
     Executed = 1,       ///< ran to completion; replay re-executes
     SkippedExpired = 2, ///< deadline expired while queued; never ran
     SkippedCrash = 3,   ///< crashed out of its batch; never ran
-    TimedOut = 4,       ///< aborted/escalated mid-run; replay answers
+    TimedOut = 4,       ///< unwound by its deadline; replay answers
                         ///< the recorded ERR without re-running
   };
 

@@ -53,7 +53,7 @@ struct QueuedRequest {
   /// Absolute completion deadline (Telemetry::nowNs time); 0 = none.
   /// Stamped by the front-end (per-request `?deadline=MS` or the server
   /// default); the shard fast-fails requests already past it and arms
-  /// the in-VM abort for the rest.
+  /// the in-VM deadline for the rest.
   uint64_t DeadlineNs = 0;
   /// Which shard the front-end pinned this request to (admission
   /// bookkeeping on the response path).

@@ -72,8 +72,6 @@ int main(int argc, char **argv) {
           static_cast<unsigned>(std::strtoul(A + 20, nullptr, 0));
     } else if (std::strncmp(A, "--breaker-open-ms=", 18) == 0) {
       Config.BreakerOpenMs = std::strtoull(A + 18, nullptr, 0);
-    } else if (std::strncmp(A, "--abort-grace-ms=", 17) == 0) {
-      Config.Pool.AbortGraceMs = std::strtoull(A + 17, nullptr, 0);
     } else if (std::strncmp(A, "--chaos-seed=", 13) == 0) {
       chaos::enableSeed(std::strtoull(A + 13, nullptr, 0));
     } else if (std::strcmp(A, "--profile") == 0) {
@@ -86,8 +84,8 @@ int main(int argc, char **argv) {
                    "[--replay-deadline-ms=MS] [--max-pipeline=N] "
                    "[--drain-timeout=SEC] [--request-deadline-ms=MS] "
                    "[--queue-budget=N] [--breaker-threshold=N] "
-                   "[--breaker-open-ms=MS] [--abort-grace-ms=MS] "
-                   "[--chaos-seed=N] [--profile]\n",
+                   "[--breaker-open-ms=MS] [--chaos-seed=N] "
+                   "[--profile]\n",
                    argv[0]);
       return 2;
     }

@@ -7,12 +7,11 @@
 /// \file
 /// The serving layer's registry entries, split by owner so every event is
 /// counted exactly once. Each Shard owns a ShardStats and counts what its
-/// shard and watchdog threads do; Shard::health() reads the same
-/// instances. The Server owns one ServeStats for what the front-end
-/// answers itself. The process-wide Telemetry registry sums same-name
-/// instances (and merges same-name histograms), so writeTelemetryJson, the
-/// admin health report, and the BENCH_*.json artifacts see one
-/// process-wide total per name:
+/// shard thread does; Shard::health() reads the same instances. The
+/// Server owns one ServeStats for what the front-end answers itself. The
+/// process-wide Telemetry registry sums same-name instances (and merges
+/// same-name histograms), so writeTelemetryJson, the admin health report,
+/// and the BENCH_*.json artifacts see one process-wide total per name:
 ///
 ///   ShardStats (one per shard):
 ///   serve.requests          requests a shard answered: evaluated,
@@ -22,9 +21,6 @@
 ///                           the ones answered ERR (counter)
 ///   serve.shard.restarts    shard crash/restart cycles (counter)
 ///   serve.deadline.expired  request deadlines that expired (counter)
-///   serve.aborts            in-VM aborts delivered to runaways (counter)
-///   serve.aborts.escalated  aborts the VM never honored: the watchdog
-///                           escalated to a shard reboot (counter)
 ///   serve.dedup.hits        retries answered from the dedup table
 ///                           instead of re-executing (counter)
 ///   serve.replayed          journaled requests re-applied during
@@ -75,8 +71,6 @@ struct ShardStats {
   Counter Errors{"serve.errors"};
   Counter Restarts{"serve.shard.restarts"};
   Counter DeadlineExpired{"serve.deadline.expired"};
-  Counter Aborts{"serve.aborts"};
-  Counter AbortsEscalated{"serve.aborts.escalated"};
   Counter DedupHits{"serve.dedup.hits"};
   Counter Replayed{"serve.replayed"};
   Counter JournalAppends{"serve.journal.appends"};

@@ -246,7 +246,6 @@ void Server::loopMain() {
     Stats.ActiveSessions.fetch_sub(1, std::memory_order_relaxed);
     It = Sessions.erase(It);
   }
-  FdToSession.clear();
   Pool->stop();
   {
     std::lock_guard<std::mutex> Lock(StopMutex);
@@ -270,7 +269,6 @@ void Server::acceptReady() {
     S.ClientId = Id;
     S.Shard = Pool->shardFor(Id);
     Sessions.emplace(Id, std::move(S));
-    FdToSession[Fd] = Id;
     Stats.ActiveSessions.fetch_add(1, std::memory_order_relaxed);
     Stats.TotalSessions.fetch_add(1, std::memory_order_relaxed);
   }
@@ -493,7 +491,6 @@ void Server::closeSession(uint64_t Id) {
   if (It == Sessions.end())
     return;
   close(It->second.Fd);
-  FdToSession.erase(It->second.Fd);
   Sessions.erase(It);
   Stats.ActiveSessions.fetch_sub(1, std::memory_order_relaxed);
 }

@@ -124,7 +124,6 @@ private:
 
   // Event-loop-owned.
   std::unordered_map<uint64_t, Session> Sessions; // by session id
-  std::unordered_map<int, uint64_t> FdToSession;
   uint64_t NextSessionId = 0;
   bool Draining = false;
   uint64_t DrainDeadlineNs = 0;

@@ -45,7 +45,6 @@ void Shard::start() {
     }
   }
   ShardThread = std::thread([this] { shardMain(); });
-  WatchdogThread = std::thread([this] { watchdogMain(); });
 }
 
 bool Shard::waitReady(double TimeoutSec) {
@@ -58,31 +57,12 @@ bool Shard::waitReady(double TimeoutSec) {
   return State == "serving";
 }
 
-bool Shard::submit(QueuedRequest R) {
-  if (Stopping.load(std::memory_order_relaxed))
-    return false;
-  return Batcher.push(std::move(R));
-}
+bool Shard::submit(QueuedRequest R) { return Batcher.push(std::move(R)); }
 
 void Shard::stop() {
-  if (Stopping.exchange(true)) {
-    // A racing second stop still has to wait for the joins below, which
-    // only the first caller performs; Shard is stopped exactly once by
-    // the Server, so just fall through when the threads are gone.
-  }
   Batcher.close();
   if (ShardThread.joinable())
     ShardThread.join();
-  // The watchdog outlives the shard thread: drained requests with
-  // deadlines may still need aborting while the shard works through its
-  // final batches above.
-  {
-    std::lock_guard<std::mutex> G(AbortMutex);
-    WatchdogStop = true;
-  }
-  WatchdogCv.notify_all();
-  if (WatchdogThread.joinable())
-    WatchdogThread.join();
 }
 
 Shard::Health Shard::health() {
@@ -101,8 +81,6 @@ Shard::Health Shard::health() {
     H.OldestQueuedMs = Now > Oldest ? (Now - Oldest) / 1000000 : 0;
   }
   H.DeadlineExpired = Stats.DeadlineExpired.value();
-  H.Aborts = Stats.Aborts.value();
-  H.AbortsEscalated = Stats.AbortsEscalated.value();
   if (Jrnl)
     H.JournalBytes = Jrnl->bytes();
   H.Replayed = Stats.Replayed.value();
@@ -258,16 +236,9 @@ void Shard::processBatch(Batch &B) {
       return;
     }
     switch (Q.Kind) {
-    case Request::Kind::Eval: {
-      if (!evalRequest(Q)) {
-        // The watchdog escalated a dishonored abort: this VM is stopping
-        // and cannot serve another request — walk the crash ladder.
-        failFrom(B, I + 1);
-        restartVm("deadline abort escalated");
-        return;
-      }
+    case Request::Kind::Eval:
+      evalRequest(Q);
       break;
-    }
     case Request::Kind::Checkpoint: {
       Q.Done = true;
       if (!Ck) {
@@ -346,7 +317,7 @@ void Shard::processBatch(Batch &B) {
                           std::memory_order_relaxed);
 }
 
-bool Shard::evalRequest(QueuedRequest &Q) {
+void Shard::evalRequest(QueuedRequest &Q) {
   uint64_t Now = Telemetry::nowNs();
   Stats.QueueWait.record(Now - Q.EnqueueNs);
   if (Q.DeadlineNs != 0 && Now >= Q.DeadlineNs) {
@@ -362,98 +333,30 @@ bool Shard::evalRequest(QueuedRequest &Q) {
     Stats.Errors.add();
     // Never ran: replay must skip it, and a retry should re-execute.
     appendOutcomeFor(Q, Journal::Outcome::SkippedExpired);
-    return true;
+    return;
   }
 
-  const char *Source = Q.Source.c_str();
-  // Storm drills. "stall" rewrites the request into a runaway loop (the
-  // infinite request a buggy client would send); "stuck" models a wedged
-  // primitive: the VM never reaches a bytecode boundary, so neither the
-  // in-VM deadline nor the watchdog's abort can fire — only escalation
-  // gets the shard back.
-  if (chaos::failPoint("serve.request.stall"))
-    Source = "[true] whileTrue.";
-  bool Stuck = chaos::failPoint("serve.abort.stuck");
-
-  {
-    std::lock_guard<std::mutex> G(AbortMutex);
-    ++InFlightToken;
-    InFlightDeadlineNs = Q.DeadlineNs;
-    AbortArmed = false;
-    EscalateFired = false;
-    StuckSim = Stuck;
-  }
-  VirtualMachine::EvalResult R =
-      (Q.DeadlineNs != 0 && !Stuck)
-          ? VM->evalWithDeadline(Source, Q.DeadlineNs)
-          : VM->evaluate(Source);
-  bool Escalated;
-  {
-    std::lock_guard<std::mutex> G(AbortMutex);
-    InFlightDeadlineNs = 0;
-    Escalated = EscalateFired;
-    // An abort that raced with normal completion must not leak into the
-    // next request.
-    VM->clearAbort();
-  }
+  // Storm drill: rewrite the request into the infinite loop a buggy
+  // client would send, for the in-VM deadline to unwind.
+  const char *Source = chaos::failPoint("serve.request.stall")
+                           ? "[true] whileTrue."
+                           : Q.Source.c_str();
+  VirtualMachine::EvalResult R = VM->evalWithDeadline(Source, Q.DeadlineNs);
 
   Q.Done = true;
   Q.Ok = R.Ok;
   Q.TimedOut = R.TimedOut;
   Q.Value = std::move(R.Value);
-  if (Escalated) {
-    Q.Ok = false;
-    Q.TimedOut = true;
-    Q.Value = "RequestTimeout: abort not honored within grace; shard " +
-              std::to_string(Config.Index) +
-              " rebooting from its last committed checkpoint";
-  }
   if (Q.TimedOut)
     Stats.DeadlineExpired.add();
   Stats.Requests.add();
   if (!Q.Ok)
     Stats.Errors.add();
-  // TimedOut (aborted mid-run or escalated) still consumed VM state up
-  // to the unwind, and re-running a runaway would wedge the reboot —
+  // TimedOut (unwound by its deadline mid-run) still consumed VM state
+  // up to the unwind, and re-running a runaway would wedge the reboot —
   // replay answers the recorded ERR instead of re-executing.
   appendOutcomeFor(Q, Q.TimedOut ? Journal::Outcome::TimedOut
                                  : Journal::Outcome::Executed);
-  return !Escalated;
-}
-
-void Shard::watchdogMain() {
-  std::unique_lock<std::mutex> Lock(AbortMutex);
-  while (!WatchdogStop) {
-    WatchdogCv.wait_for(Lock, std::chrono::milliseconds(5));
-    if (WatchdogStop)
-      break;
-    if (InFlightDeadlineNs == 0)
-      continue;
-    uint64_t Now = Telemetry::nowNs();
-    if (Now < InFlightDeadlineNs)
-      continue;
-    if (!AbortArmed) {
-      AbortArmed = true;
-      ArmedToken = InFlightToken;
-      EscalateAtNs = Now + Config.AbortGraceMs * 1000000;
-      if (!StuckSim) {
-        // Normal path: the VM consumes this at its next bytecode
-        // boundary and unwinds with RequestTimeout. The in-VM deadline
-        // usually beats us to it; this catches evals stuck between
-        // bytecodes. The stuck drill skips delivery so the grace
-        // escalation below is what recovers the shard.
-        VM->requestAbort();
-        Stats.Aborts.add();
-      }
-    } else if (!EscalateFired && ArmedToken == InFlightToken &&
-               Now >= EscalateAtNs) {
-      EscalateFired = true;
-      Stats.AbortsEscalated.add();
-      // Stop flag, no join: the evaluation returns at its next poll and
-      // the shard thread reboots its VM on its own thread.
-      VM->requestStop();
-    }
-  }
 }
 
 void Shard::failFrom(Batch &B, size_t First) {
@@ -611,8 +514,8 @@ void Shard::finishBatchJournal(Batch &B) {
     auto Out = static_cast<Journal::Outcome>(Q.JournalOutcome);
     if (Out == Journal::Outcome::Executed ||
         Out == Journal::Outcome::TimedOut) {
-      // Executed (or consumed by an abort): the response is final, so a
-      // retry must be answered, not re-run. Skipped outcomes stay out of
+      // Executed (or unwound by its deadline): the response is final, so
+      // a retry must be answered, not re-run. Skipped outcomes stay out of
       // the cache — their retry *should* execute.
       DedupTable::Response R;
       R.Ok = Q.Ok;

@@ -45,19 +45,14 @@
 /// generation's mark happens strictly after each checkpoint's rename
 /// lands.
 ///
-/// Deadlines: each shard runs a watchdog thread. The shard thread
-/// publishes the in-flight request's deadline (under AbortMutex) around
-/// every evaluation; when the watchdog sees it expire it arms the VM's
-/// asynchronous abort, and the runaway unwinds with a catchable
-/// RequestTimeout error at its next bytecode boundary. If the VM does not
-/// honor the abort within AbortGraceMs (a wedged primitive — simulated by
-/// the `serve.abort.stuck` fail point suppressing the abort), the
-/// watchdog escalates: VirtualMachine::requestStop() makes the evaluation
-/// return, the shard thread observes the stop flag and walks the same
-/// crash/reboot ladder as `serve.shard.crash`. Requests whose deadline
-/// already expired while queued are answered ERR without evaluating. The
-/// `serve.request.stall` fail point rewrites an eval into a runaway
-/// `[true] whileTrue.` for storm tests.
+/// Deadlines: the shard thread runs every evaluation through
+/// VirtualMachine::evalWithDeadline, so the interpreter itself checks the
+/// request's deadline as it runs (every 512 bytecodes and after each
+/// primitive) and unwinds a runaway with a catchable RequestTimeout
+/// error; no second thread watches the shard. Requests whose deadline already expired while
+/// queued are answered ERR without evaluating. The `serve.request.stall`
+/// fail point rewrites an eval into a runaway `[true] whileTrue.` for
+/// storm tests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -97,9 +92,6 @@ struct ShardConfig {
   unsigned KeepGenerations = 2;
   /// Periodic auto-checkpoint interval; 0 = only explicit checkpoints.
   uint64_t CheckpointEveryMs = 0;
-  /// How long the deadline watchdog waits for the VM to honor an armed
-  /// abort before escalating to a shard reboot.
-  uint64_t AbortGraceMs = 250;
   /// Write-ahead request journal path; empty disables journaling (the
   /// default — a crash then rolls back to the last checkpoint). With a
   /// journal, the shard logs every Eval before its batch executes and the
@@ -126,7 +118,7 @@ public:
   Shard(const Shard &) = delete;
   Shard &operator=(const Shard &) = delete;
 
-  /// Spawns the shard and watchdog threads; the shard thread boots the VM.
+  /// Spawns the shard thread, which boots the VM.
   void start();
 
   /// Blocks until the first boot finished (or failed terminally).
@@ -139,7 +131,7 @@ public:
 
   /// Graceful stop: closes the batcher; the shard thread completes every
   /// queued request, takes a final checkpoint, and destroys its VM. Joins
-  /// both threads.
+  /// the shard thread.
   void stop();
 
   /// Point-in-time health, readable from any thread.
@@ -157,8 +149,6 @@ public:
     size_t QueueDepth = 0;   ///< requests waiting in the batcher
     uint64_t OldestQueuedMs = 0; ///< age of the oldest queued request
     uint64_t DeadlineExpired = 0; ///< deadlines that expired here
-    uint64_t Aborts = 0;          ///< in-VM aborts the watchdog armed
-    uint64_t AbortsEscalated = 0; ///< aborts escalated to a reboot
     uint64_t JournalBytes = 0;    ///< journal file size (0 = no journal)
     uint64_t Replayed = 0;        ///< intents re-applied across reboots
     uint64_t DedupSize = 0;       ///< cached (client, seq) responses
@@ -174,15 +164,12 @@ public:
 
 private:
   void shardMain();
-  void watchdogMain();
   void bootVm();
   void restartVm(const char *Why);
   void teardownVm();
   void processBatch(Batch &B);
-  /// Runs one Eval request against the VM, with deadline/abort plumbing.
-  /// \returns false when the watchdog escalated and the caller must
-  /// reboot the VM.
-  bool evalRequest(QueuedRequest &Q);
+  /// Runs one Eval request against the VM under its deadline.
+  void evalRequest(QueuedRequest &Q);
   void failFrom(Batch &B, size_t First);
   void setState(const char *S);
   void noteError(const std::string &E);
@@ -224,26 +211,6 @@ private:
 
   RequestBatcher Batcher;
   std::thread ShardThread;
-  std::thread WatchdogThread;
-
-  /// The abort protocol between the shard thread and its watchdog. The
-  /// shard thread publishes the in-flight eval's deadline before running
-  /// it and clears it (plus any unconsumed VM abort) after; the watchdog
-  /// wakes on a coarse tick, arms the VM abort at expiry, and escalates
-  /// after the grace period. Everything below AbortMutex is guarded by
-  /// it; the VM pointer is only dereferenced by the watchdog while an
-  /// in-flight deadline is published, which the shard thread only does
-  /// while the VM is alive and evaluating.
-  std::mutex AbortMutex;
-  std::condition_variable WatchdogCv;
-  uint64_t InFlightDeadlineNs = 0; ///< 0 = nothing abortable in flight
-  uint64_t InFlightToken = 0;      ///< increments per published eval
-  uint64_t ArmedToken = 0;         ///< token the watchdog armed/escalated
-  bool AbortArmed = false;
-  bool EscalateFired = false;
-  bool StuckSim = false; ///< serve.abort.stuck drill: don't deliver
-  uint64_t EscalateAtNs = 0;
-  bool WatchdogStop = false; ///< set by stop() after the shard joined
 
   // Shard-thread-owned.
   std::unique_ptr<VirtualMachine> VM;
@@ -272,7 +239,6 @@ private:
   std::condition_variable ReadyCv;
   bool BootDone = false; // guarded by ReadyMutex
 
-  std::atomic<bool> Stopping{false};
   std::atomic<uint64_t> Generation{0};
   std::atomic<uint64_t> CheckpointCount{0};
   /// Checkpoints taken by Checkpointers of earlier generations (each

@@ -28,7 +28,6 @@ ShardPool::ShardPool(const PoolConfig &Config, Shard::ResponseSink Sink) {
     C.ReplayDeadlineMs = Config.ReplayDeadlineMs;
     C.KeepGenerations = Config.KeepGenerations;
     C.CheckpointEveryMs = Config.CheckpointEveryMs;
-    C.AbortGraceMs = Config.AbortGraceMs;
     C.Vm = Config.Vm;
     Shards.push_back(std::make_unique<Shard>(C, Sink));
   }

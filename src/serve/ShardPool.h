@@ -42,8 +42,6 @@ struct PoolConfig {
   bool Journal = false;
   /// Per-request deadline during journal replay.
   uint64_t ReplayDeadlineMs = 5000;
-  /// Watchdog grace before a dishonored abort escalates to a reboot.
-  uint64_t AbortGraceMs = 250;
   VmConfig Vm = VmConfig::multiprocessor(1);
 };
 

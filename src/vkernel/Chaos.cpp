@@ -258,7 +258,6 @@ bool chaos::armFailFromEnv(uint64_t Seed) {
              {"MST_CHAOS_SNAPSHOT_TRUNCATE_PM", "snapshot.truncate"},
              {"MST_CHAOS_SHARD_CRASH_PM", "serve.shard.crash"},
              {"MST_CHAOS_REQUEST_STALL_PM", "serve.request.stall"},
-             {"MST_CHAOS_ABORT_STUCK_PM", "serve.abort.stuck"},
              {"MST_CHAOS_JOURNAL_APPEND_FAIL_PM", "journal.append.fail"},
              {"MST_CHAOS_JOURNAL_FSYNC_FAIL_PM", "journal.fsync.fail"},
              {"MST_CHAOS_JOURNAL_TEAR_PM", "journal.tear"},

@@ -150,16 +150,15 @@ uint64_t failCount(const char *Point);
 /// MST_CHAOS_STALL_PM / MST_CHAOS_IO_WRITE_FAIL_PM /
 /// MST_CHAOS_IO_FSYNC_FAIL_PM / MST_CHAOS_SNAPSHOT_TRUNCATE_PM /
 /// MST_CHAOS_SHARD_CRASH_PM / MST_CHAOS_REQUEST_STALL_PM /
-/// MST_CHAOS_ABORT_STUCK_PM / MST_CHAOS_JOURNAL_APPEND_FAIL_PM /
-/// MST_CHAOS_JOURNAL_FSYNC_FAIL_PM / MST_CHAOS_JOURNAL_TEAR_PM /
-/// MST_CHAOS_JOURNAL_TRUNCATE_FAIL_PM and arms the corresponding fail
-/// points ("alloc.fail", "oldspace.grow.fail", "watchdog.stall",
-/// "io.write.fail", "io.fsync.fail", "snapshot.truncate",
-/// "serve.shard.crash", "serve.request.stall", "serve.abort.stuck",
-/// "journal.append.fail", "journal.fsync.fail", "journal.tear",
-/// "journal.truncate.fail") with \p Seed. The CI small-heap, snapfuzz,
-/// serve, and journal-fuzz lanes use this to push fault injection into
-/// every stress binary without per-test plumbing.
+/// MST_CHAOS_JOURNAL_APPEND_FAIL_PM / MST_CHAOS_JOURNAL_FSYNC_FAIL_PM /
+/// MST_CHAOS_JOURNAL_TEAR_PM / MST_CHAOS_JOURNAL_TRUNCATE_FAIL_PM and
+/// arms the corresponding fail points ("alloc.fail",
+/// "oldspace.grow.fail", "watchdog.stall", "io.write.fail",
+/// "io.fsync.fail", "snapshot.truncate", "serve.shard.crash",
+/// "serve.request.stall", "journal.append.fail", "journal.fsync.fail",
+/// "journal.tear", "journal.truncate.fail") with \p Seed. The CI
+/// small-heap, snapfuzz, serve, and journal-fuzz lanes use this to push
+/// fault injection into every stress binary without per-test plumbing.
 /// \returns true when at least one point was armed.
 bool armFailFromEnv(uint64_t Seed);
 

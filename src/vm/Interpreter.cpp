@@ -156,6 +156,17 @@ Oop Interpreter::allocateContext(uint32_t SlotsNeeded, Oop Cls) {
   return Fresh;
 }
 
+/// --- deadlines -------------------------------------------------------
+
+bool Interpreter::expireDeadline() {
+  if (DeadlineNs == 0 || Telemetry::coarseNowNs() < DeadlineNs)
+    return false;
+  Aborted = true;
+  writeBackIp();
+  vmError("RequestTimeout: request exceeded its deadline");
+  return true;
+}
+
 /// --- sends -----------------------------------------------------------
 
 void Interpreter::doSend(Oop Selector, unsigned Argc, bool Super) {
@@ -187,8 +198,17 @@ void Interpreter::doSend(Oop Selector, unsigned Argc, bool Super) {
 
   intptr_t Prim = ObjectMemory::fetchPointer(Method, MthPrimitive).smallInt();
   if (Prim != PrimNone &&
-      dispatchPrimitive(static_cast<int>(Prim), Argc) == PrimResult::Success)
+      dispatchPrimitive(static_cast<int>(Prim), Argc) == PrimResult::Success) {
+    // One primitive can run for milliseconds (a full collection, a large
+    // allocation or copy), so the 512 bytecodes between the slice loop's
+    // deadline checks could overshoot the deadline by far. The unwind
+    // ends the slice through the loop's Finished check; a primitive that
+    // already ended the execution (an error, a nested perform:) keeps
+    // its own outcome.
+    if (!Finished)
+      expireDeadline();
     return;
+  }
   activateMethod(Method, Argc);
 }
 
@@ -527,27 +547,16 @@ RunResult Interpreter::interpretSlice(uint64_t MaxBytecodes) {
       writeBackIp();
       return RunResult::Stopping;
     }
-    if (AbortFlag.load(std::memory_order_acquire)) {
-      AbortFlag.store(false, std::memory_order_relaxed);
-      Aborted = true;
-      writeBackIp();
-      vmError("RequestTimeout: execution aborted by watchdog");
-      return RunResult::Terminated;
-    }
     if (++Executed > MaxBytecodes) {
       writeBackIp();
       return RunResult::Yielded;
     }
     if ((Executed & 511) == 0) {
       // The deadline is armed even for untimed (driver) slices: a serve
-      // request runs as one runToCompletion call, and this is the only
-      // place a runaway `[true] whileTrue.` can be caught in-VM.
-      if (DeadlineNs != 0 && Telemetry::nowNs() >= DeadlineNs) {
-        Aborted = true;
-        writeBackIp();
-        vmError("RequestTimeout: request exceeded its deadline");
+      // request runs as one runToCompletion call, and this is where a
+      // runaway `[true] whileTrue.` that sends nothing is caught.
+      if (expireDeadline())
         return RunResult::Terminated;
-      }
       if (TimedSlice &&
           threadCpuMicros() - SliceStartUs > SliceBudgetUs) {
         writeBackIp();

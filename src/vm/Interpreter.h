@@ -21,7 +21,6 @@
 #ifndef MST_VM_INTERPRETER_H
 #define MST_VM_INTERPRETER_H
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -48,8 +47,11 @@ enum class RunResult : uint8_t {
   Stopping,   ///< the VM is shutting down
 };
 
-/// One interpretation process.
-class Interpreter {
+/// One interpretation process. Each starts on its own cache line: the
+/// VM allocates its interpreters back to back, and the frame cache at
+/// the head of one and the bytecode counters at the tail of another are
+/// written on every bytecode by different threads.
+class alignas(64) Interpreter {
 public:
   Interpreter(VirtualMachine &VM, unsigned Id);
 
@@ -74,36 +76,20 @@ public:
   uint64_t bytecodesExecuted() const { return BytecodeCount; }
   uint64_t sendsExecuted() const { return SendCount; }
 
-  /// --- asynchronous abort / deadlines -----------------------------------
+  /// --- deadlines --------------------------------------------------------
   ///
-  /// A watchdog on another thread can abort whatever this interpreter is
-  /// running: requestAbort() arms a flag the bytecode loop checks at the
-  /// same per-bytecode poll as the safepoint/stopping checks. The next
-  /// poll unwinds the running execution with a catchable RequestTimeout
-  /// error (heap and scheduler stay consistent — the abort only ever
-  /// fires at a bytecode boundary). The release store pairs with the
-  /// loop's acquire load; no other ordering is required because the abort
-  /// carries no payload, only the edge.
-  void requestAbort() {
-    AbortFlag.store(true, std::memory_order_release);
-  }
-
-  /// Drops any abort that is still pending (it arrived after the victim
-  /// finished on its own). Called between requests by the owner of the
-  /// abort protocol; never concurrently with the loop consuming it.
-  void clearAbort() {
-    AbortFlag.store(false, std::memory_order_relaxed);
-  }
-
   /// Arms (non-zero) or disarms (0) an absolute deadline, in
-  /// Telemetry::nowNs time. Checked every 512 bytecodes even in untimed
-  /// driver slices; on expiry the execution unwinds exactly like
-  /// requestAbort(). Owner-thread only (the driver arms its own deadline
-  /// before running a request).
+  /// Telemetry::nowNs time. Checked against Telemetry::coarseNowNs every
+  /// 512 bytecodes, even in untimed slices (runToCompletion), and after
+  /// every primitive that succeeds; on expiry the running execution
+  /// unwinds with a catchable RequestTimeout error (heap and scheduler
+  /// stay consistent — the check only ever fires between bytecodes).
+  /// Owner-thread only: evalWithDeadline arms it on the interpreter that
+  /// runs the request.
   void setDeadlineNs(uint64_t Ns) { DeadlineNs = Ns; }
 
-  /// True — and self-clearing — when the last execution was unwound by
-  /// requestAbort() or a deadline expiry. Owner-thread only.
+  /// True — and self-clearing — when the last execution was unwound by a
+  /// deadline expiry. Owner-thread only.
   bool takeAborted() {
     bool A = Aborted;
     Aborted = false;
@@ -147,6 +133,10 @@ private:
   /// Reports a VM-level error: logs it and terminates the active process.
   void vmError(const std::string &Msg);
 
+  /// When the armed deadline has passed, unwinds the running execution
+  /// with a RequestTimeout vmError. \returns true when it did.
+  bool expireDeadline();
+
   // --- process plumbing for runLoop
   bool activateProcess(Oop Proc);
   void saveProcessState();
@@ -175,9 +165,7 @@ private:
   bool FlagBlocked = false;
   bool FlagYield = false;
 
-  // Asynchronous abort (set by any thread, consumed by the loop) and the
-  // owner-thread deadline/result bookkeeping around it.
-  std::atomic<bool> AbortFlag{false};
+  // Owner-thread deadline and whether it unwound the last execution.
   uint64_t DeadlineNs = 0;
   bool Aborted = false;
 

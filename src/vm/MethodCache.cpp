@@ -72,7 +72,6 @@ bool MethodCache::lookup(unsigned InterpId, Oop Cls, Oop Selector,
     }
     GlobalLock.unlockShared();
     Stats.Misses.add();
-    Stats.MissGlobal.add();
     return false;
   }
   if (E) {
@@ -82,7 +81,6 @@ bool MethodCache::lookup(unsigned InterpId, Oop Cls, Oop Selector,
     return true;
   }
   Stats.Misses.add();
-  Stats.MissReplicated.add();
   return false;
 }
 

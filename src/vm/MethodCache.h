@@ -120,16 +120,11 @@ private:
 };
 
 /// Counters for the cache benches, registered process-wide as
-/// methodcache.hits / methodcache.misses, with misses additionally broken
-/// down by cache kind. Exactly one per-kind counter is bumped alongside
-/// every Misses bump, so methodcache.misses ==
-/// methodcache.miss.replicated + methodcache.miss.global always holds —
-/// the selector-keyed miss profile can cross-check against either.
+/// methodcache.hits / methodcache.misses. A cache's kind is fixed at
+/// construction, so kind() says which organization the counts describe.
 struct MethodCacheStats {
   Counter Hits{"methodcache.hits"};
   Counter Misses{"methodcache.misses"};
-  Counter MissReplicated{"methodcache.miss.replicated"};
-  Counter MissGlobal{"methodcache.miss.global"};
 };
 
 /// The cache facade used by interpreters. Holds either one shared locked
@@ -161,8 +156,6 @@ public:
 
   uint64_t hits() const { return Stats.Hits.value(); }
   uint64_t misses() const { return Stats.Misses.value(); }
-  uint64_t missesReplicated() const { return Stats.MissReplicated.value(); }
-  uint64_t missesGlobal() const { return Stats.MissGlobal.value(); }
 
 private:
   MethodCacheKind Kind;

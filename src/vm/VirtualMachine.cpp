@@ -135,22 +135,10 @@ void VirtualMachine::startInterpreters() {
 }
 
 void VirtualMachine::shutdown() {
-  // No early-out on an already-set flag: requestStop() sets it without
-  // joining, and this call must still join the workers (joinAll is
-  // idempotent — already-joined threads are skipped).
   StopFlag.store(true, std::memory_order_relaxed);
   Sched->notifyWork();
   Kernel.joinAll();
 }
-
-void VirtualMachine::requestStop() {
-  StopFlag.store(true, std::memory_order_relaxed);
-  Sched->notifyWork();
-}
-
-void VirtualMachine::requestAbort() { Driver->requestAbort(); }
-
-void VirtualMachine::clearAbort() { Driver->clearAbort(); }
 
 /// --- execution front door ----------------------------------------------
 

@@ -104,11 +104,6 @@ public:
   /// Requests shutdown and joins every worker.
   void shutdown();
 
-  /// Requests shutdown without joining — safe from any thread (a shard
-  /// watchdog escalating a dishonored abort). The owning thread still
-  /// calls shutdown()/the destructor to join; both are idempotent.
-  void requestStop();
-
   bool stopping() const {
     return StopFlag.load(std::memory_order_relaxed);
   }
@@ -126,8 +121,8 @@ public:
     /// via ObjectModel::describe) on success; the compile/runtime
     /// diagnostics on failure.
     std::string Value;
-    /// True when the evaluation was unwound by a deadline expiry or an
-    /// asynchronous abort (the RequestTimeout error); Ok is then false.
+    /// True when the evaluation was unwound by a deadline expiry (the
+    /// RequestTimeout error); Ok is then false.
     bool TimedOut = false;
   };
 
@@ -143,21 +138,14 @@ public:
   EvalResult evaluate(const std::string &Source);
 
   /// evaluate() with an absolute deadline (Telemetry::nowNs time, 0 =
-  /// none). When the deadline expires mid-run the execution unwinds with
-  /// a RequestTimeout error at the next bytecode boundary and the result
-  /// reports TimedOut. Driver-thread only, like evaluate().
+  /// none). The interpreter checks the deadline every 512 bytecodes and
+  /// after every successful primitive, on a clock that may lag by one
+  /// timer tick; once it has expired the execution unwinds with a
+  /// RequestTimeout error at that check and the result reports TimedOut.
+  /// A primitive in progress always finishes first. Same thread rule as
+  /// evaluate().
   EvalResult evalWithDeadline(const std::string &Source,
                               uint64_t DeadlineNs);
-
-  /// Arms the driver interpreter's asynchronous abort: whatever the
-  /// driver is evaluating unwinds with a RequestTimeout error at its
-  /// next poll. Safe from any thread (the shard deadline watchdog).
-  void requestAbort();
-
-  /// Drops a pending driver abort that was never consumed (the victim
-  /// request finished first). Callers serialize this against their own
-  /// requestAbort() — the serve shard does both under its abort mutex.
-  void clearAbort();
 
   /// Compiles \p Source as a doIt and forks it as a Smalltalk Process at
   /// \p Priority. \returns the Process oop (already scheduled).

@@ -15,6 +15,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -163,8 +165,6 @@ TEST_F(ServeTest, HealthReportsEveryShardServing) {
   EXPECT_NE(Json.find("\"outstanding\":"), std::string::npos);
   EXPECT_NE(Json.find("\"oldest_queued_ms\":"), std::string::npos);
   EXPECT_NE(Json.find("\"deadline_expired\":"), std::string::npos);
-  EXPECT_NE(Json.find("\"aborts\":"), std::string::npos);
-  EXPECT_NE(Json.find("\"aborts_escalated\":"), std::string::npos);
   EXPECT_NE(Json.find("\"serve.queue.depth\""), std::string::npos);
   EXPECT_NE(Json.find("\"serve.queue.wait\""), std::string::npos);
   EXPECT_NE(Json.find("\"serve.shed\""), std::string::npos);
@@ -311,13 +311,41 @@ TEST(ServeCheckpoint, PeriodicCheckpointerStopsAnIdleShard) {
   S.stop();
 }
 
+// --- Threads ---------------------------------------------------------------
+
+namespace {
+size_t processThreads() {
+  std::error_code Ec;
+  std::filesystem::directory_iterator It("/proc/self/task", Ec);
+  return Ec ? 0 : static_cast<size_t>(std::distance(It, {}));
+}
+} // namespace
+
+TEST(ServeThreads, EachShardRunsOnOneThread) {
+  // A serving process adds its event loop plus one thread per shard;
+  // the shard thread enforces request deadlines itself. Periodic
+  // checkpoints stay off, since each would add a Checkpointer thread.
+  constexpr unsigned Shards = 3;
+  std::string DataDir = makeTempDir();
+  ServerConfig Config = testServerConfig(Shards, DataDir);
+  Config.Pool.CheckpointEveryMs = 0;
+  // ThreadSanitizer's runtime starts a helper thread when the process
+  // creates its first thread; create one first so it is already counted.
+  std::thread([] {}).join();
+  size_t Before = processThreads();
+  ASSERT_GT(Before, 0u) << "cannot list /proc/self/task";
+  Server S(std::move(Config));
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+  EXPECT_EQ(processThreads(), Before + Shards + 1);
+  S.stop();
+}
+
 // --- Deadlines, runaway abort, and overload control ----------------------
 
 TEST(ServeDeadline, RunawayAnswersErrWithinTwiceTheDeadline) {
   std::string DataDir = makeTempDir();
-  ServerConfig Config = testServerConfig(2, DataDir);
-  Config.Pool.AbortGraceMs = 10000; // abort must win, never escalation
-  Server S(std::move(Config));
+  Server S(testServerConfig(2, DataDir));
   std::string Error;
   ASSERT_TRUE(S.start(Error)) << Error;
 
@@ -370,7 +398,6 @@ TEST(ServeOverload, QueueBudgetShedsAndRetrySucceeds) {
   ServerConfig Config = testServerConfig(1, DataDir);
   Config.QueueBudget = 2;
   Config.BreakerThreshold = 0; // isolate admission control
-  Config.Pool.AbortGraceMs = 10000;
   Server S(std::move(Config));
   std::string Error;
   ASSERT_TRUE(S.start(Error)) << Error;
@@ -420,7 +447,6 @@ TEST(ServeOverload, BreakerOpensAfterConsecutiveExpiriesAndRecloses) {
   Config.BreakerThreshold = 2;
   Config.BreakerOpenMs = 400;
   Config.QueueBudget = 0; // isolate the breaker
-  Config.Pool.AbortGraceMs = 10000;
   Server S(std::move(Config));
   std::string Error;
   ASSERT_TRUE(S.start(Error)) << Error;
@@ -643,7 +669,6 @@ TEST(ServeDrainDeadline, QueuedRequestsGetCleanErrAtTheDrainDeadline) {
   std::string DataDir = makeTempDir();
   ServerConfig Config = testServerConfig(1, DataDir);
   Config.DrainTimeoutSec = 1.0;
-  Config.Pool.AbortGraceMs = 10000;
   Server S(std::move(Config));
   std::string Error;
   ASSERT_TRUE(S.start(Error)) << Error;

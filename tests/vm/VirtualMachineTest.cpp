@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
-#include <thread>
 
 #include "TestVm.h"
 #include "obs/Telemetry.h"
@@ -123,31 +122,34 @@ TEST(VirtualMachineTest, EvalWithDeadlineLeavesQuickEvalsAlone) {
   EXPECT_FALSE(Next.TimedOut);
 }
 
-TEST(VirtualMachineTest, RequestAbortFromAnotherThreadUnwinds) {
+TEST(VirtualMachineTest, EvalWithDeadlineOutrunsSlowPrimitives) {
+  // A runaway that spends most of its time inside slow primitives: the
+  // interpreter checks the deadline after each primitive, so expiry
+  // lands within one primitive call and one clock tick of the deadline
+  // rather than up to 512 bytecodes' worth of primitives later. The
+  // perform: shape expires inside a primitive nested in another one,
+  // which must still unwind once.
   TestVm T;
-  std::thread Watchdog([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    T.vm().requestAbort();
-  });
-  auto R = T.vm().evaluate("[true] whileTrue");
-  Watchdog.join();
-  EXPECT_FALSE(R.Ok);
-  EXPECT_TRUE(R.TimedOut);
-  EXPECT_NE(R.Value.find("RequestTimeout"), std::string::npos) << R.Value;
-  auto After = T.vm().evaluate("2 + 2");
-  EXPECT_TRUE(After.Ok) << After.Value;
-  EXPECT_EQ(After.Value, "4");
-}
-
-TEST(VirtualMachineTest, ClearAbortDropsAPendingAbort) {
-  TestVm T;
-  // An abort requested between requests must not kill the next one.
-  T.vm().requestAbort();
-  T.vm().clearAbort();
-  auto R = T.vm().evaluate("5 * 5");
-  EXPECT_TRUE(R.Ok) << R.Value;
-  EXPECT_EQ(R.Value, "25");
-  EXPECT_FALSE(R.TimedOut);
+  for (const char *Runaway :
+       {"[true] whileTrue: [nil fullCollect]",
+        "[true] whileTrue: [Array new: 200000]",
+        "[true] whileTrue: [nil perform: #fullCollect withArguments: #()]"}) {
+    SCOPED_TRACE(Runaway);
+    auto T0 = std::chrono::steady_clock::now();
+    uint64_t Deadline = Telemetry::nowNs() + 200ull * 1000 * 1000;
+    auto R = T.vm().evalWithDeadline(Runaway, Deadline);
+    auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                  std::chrono::steady_clock::now() - T0)
+                  .count();
+    EXPECT_FALSE(R.Ok);
+    EXPECT_TRUE(R.TimedOut) << R.Value;
+    EXPECT_EQ(R.Value.find("RequestTimeout"), R.Value.rfind("RequestTimeout"))
+        << R.Value;
+    EXPECT_LT(Ms, 400) << "the deadline fired late";
+    auto After = T.vm().evaluate("3 + 4");
+    EXPECT_TRUE(After.Ok) << After.Value;
+    EXPECT_EQ(After.Value, "7");
+  }
 }
 
 TEST(VirtualMachineTest, DriverRootsAreGcSafe) {
