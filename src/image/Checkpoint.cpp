@@ -61,14 +61,12 @@ Checkpointer::~Checkpointer() {
   }
 }
 
-bool Checkpointer::checkpointNow(std::string &Error) {
+bool Checkpointer::checkpointNow(std::string &Error,
+                                 std::optional<uint64_t> JournalMark) {
   SnapshotOptions SO;
   SO.KeepGenerations = Opts.KeepGenerations;
-  uint64_t Mark = 0;
-  if (Opts.JournalMark && Opts.JournalMark(Mark)) {
-    SO.HasJournalMark = true;
-    SO.JournalMark = Mark;
-  }
+  SO.HasJournalMark = JournalMark.has_value();
+  SO.JournalMark = JournalMark.value_or(0);
   if (!saveSnapshot(VM, Opts.Path, Error, SO)) {
     std::lock_guard<std::mutex> G(ErrMutex);
     LastError = Error;

@@ -6,9 +6,10 @@
 ///
 /// \file
 /// The checkpoint policy layer on top of image/Snapshot: a periodic
-/// auto-snapshot thread (`--snapshot-every=ms`) and a best-effort
-/// emergency snapshot wired into the Panic funnel, so a panicking VM
-/// leaves a restartable image next to its postmortem dump.
+/// auto-snapshot thread (the repl's `--snapshot-every=ms`), generation
+/// rotation, and a best-effort emergency snapshot wired into the Panic
+/// funnel, so a panicking VM leaves a restartable image next to its
+/// postmortem dump.
 ///
 /// Lives in the image library (not the VM) because it calls saveSnapshot;
 /// mst_image links mst_vm, never the other way around.
@@ -21,8 +22,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -46,13 +47,6 @@ public:
     /// Register a Panic-funnel section that writes a best-effort
     /// emergency image to `<Path>.panic` when the VM panics.
     bool EmergencyOnPanic = true;
-    /// When set and it returns true, checkpointNow stamps the returned
-    /// request-journal high-water mark into the image (the JPOS section)
-    /// so the serving layer can replay past it and truncate below it.
-    /// The provider runs on the checkpointing thread; the serving layer
-    /// only installs it on shards whose periodic thread is disabled, so
-    /// the mark is always read at a batch boundary.
-    std::function<bool(uint64_t &)> JournalMark;
   };
 
   Checkpointer(VirtualMachine &VM, Options Opts);
@@ -63,7 +57,11 @@ public:
 
   /// Takes a checkpoint right now on the calling thread, which must be a
   /// registered mutator (the driver, or the checkpointer's own thread).
-  bool checkpointNow(std::string &Error);
+  /// A \p JournalMark is stamped into the image (the JPOS section): the
+  /// request-journal position the image covers, which the serving layer
+  /// replays past and truncates below.
+  bool checkpointNow(std::string &Error,
+                     std::optional<uint64_t> JournalMark = std::nullopt);
 
   /// \returns how many checkpoints have been written successfully.
   uint64_t checkpointsTaken() const {

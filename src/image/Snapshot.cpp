@@ -959,7 +959,7 @@ bool Loader::materialize(std::string &Error) {
 } // namespace
 
 bool mst::saveSnapshot(VirtualMachine &VM, const std::string &Path,
-                       std::string &Error, const SnapshotOptions &Opts) {
+                       std::string &Error, const SnapshotOptions &Options) {
   // Serialize with the world stopped so the object graph is frozen while
   // we walk it; everything below is memory-only, so the pause excludes
   // all file I/O.
@@ -994,12 +994,12 @@ bool mst::saveSnapshot(VirtualMachine &VM, const std::string &Path,
   Header.Version = SnapshotVersion;
   Header.ObjectCount = ObjectCount;
   Header.RootCount = RootCount;
-  Header.Sections = Opts.HasJournalMark ? MaxSectionCount : SectionCount;
+  Header.Sections = Options.HasJournalMark ? MaxSectionCount : SectionCount;
   Header.Crc = crc32(&Header, sizeof(Header) - sizeof(uint32_t));
 
   Buf JournalPos;
-  if (Opts.HasJournalMark)
-    JournalPos.put(&Opts.JournalMark, sizeof(Opts.JournalMark));
+  if (Options.HasJournalMark)
+    JournalPos.put(&Options.JournalMark, sizeof(Options.JournalMark));
 
   Buf Image;
   Image.put(&Header, sizeof(Header));
@@ -1026,7 +1026,7 @@ bool mst::saveSnapshot(VirtualMachine &VM, const std::string &Path,
   Image.put(&Trailer, sizeof(Trailer));
 
   std::lock_guard<std::mutex> SaveLock(savePathLock(Path));
-  return writeAtomically(Path, Image.V, Opts, Error);
+  return writeAtomically(Path, Image.V, Options, Error);
 }
 
 bool mst::loadSnapshotExact(VirtualMachine &VM, const std::string &Path,

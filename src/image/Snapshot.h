@@ -78,7 +78,7 @@ struct SnapshotOptions {
   /// has its effects inside this image, so replay-on-reboot starts at
   /// the mark and journal truncation may (after the rename lands) drop
   /// everything below it. Images written without the mark stay
-  /// three-section and byte-identical to the pre-journal format.
+  /// three-section and byte-identical to images from before the mark.
   bool HasJournalMark = false;
   uint64_t JournalMark = 0;
 };

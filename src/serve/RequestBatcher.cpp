@@ -6,6 +6,9 @@
 
 #include "serve/RequestBatcher.h"
 
+#include <chrono>
+
+#include "obs/Telemetry.h"
 #include "vkernel/Chaos.h"
 
 using namespace mst;
@@ -23,17 +26,25 @@ bool RequestBatcher::push(QueuedRequest R) {
   return true;
 }
 
-bool RequestBatcher::takeBatch(Batch &Out, size_t Max) {
+bool RequestBatcher::takeBatch(Batch &Out, size_t Max, uint64_t WakeNs) {
   Out.clear();
   std::unique_lock<std::mutex> Lock(Mutex);
-  Cv.wait(Lock, [this] { return Closed || !Queue.empty(); });
+  auto Ready = [this] { return Closed || !Queue.empty(); };
+  if (WakeNs == 0) {
+    Cv.wait(Lock, Ready);
+  } else {
+    uint64_t Now = Telemetry::nowNs();
+    uint64_t WaitNs = WakeNs > Now ? WakeNs - Now : 0;
+    Cv.wait_for(Lock, std::chrono::nanoseconds(WaitNs), Ready);
+  }
   if (Queue.empty())
-    return false; // closed and drained
-  size_t N = Queue.size() < Max ? Queue.size() : Max;
-  Out.reserve(N);
-  for (size_t I = 0; I < N; ++I) {
+    return !Closed; // the wake time passed, or closed and drained
+  Out.reserve(Queue.size() < Max ? Queue.size() : Max);
+  while (!Queue.empty() && Out.size() < Max) {
     Out.push_back(std::move(Queue.front()));
     Queue.pop_front();
+    if (Out.back().Kind == Request::Kind::Checkpoint)
+      break; // a checkpoint is the last request in its batch
   }
   return true;
 }

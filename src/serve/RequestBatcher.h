@@ -85,10 +85,14 @@ public:
 
   /// Blocks until at least one request is queued or the batcher closes,
   /// then moves up to \p Max requests into \p Out (cleared first), oldest
-  /// first. \returns false only when closed *and* drained — the shard
-  /// thread's exit condition; every request pushed before close() is
-  /// still delivered.
-  bool takeBatch(Batch &Out, size_t Max);
+  /// first. A `!checkpoint` ends the batch it lands in, so nothing queued
+  /// behind it is in the batch when the shard checkpoints. A nonzero
+  /// \p WakeNs (Telemetry::nowNs time) also ends the wait once it passes:
+  /// with nothing queued, \p Out stays empty and the call returns true.
+  /// \returns false only when closed *and* drained — the shard thread's
+  /// exit condition; every request pushed before close() is still
+  /// delivered.
+  bool takeBatch(Batch &Out, size_t Max, uint64_t WakeNs = 0);
 
   /// Closes the queue: push() starts refusing, takeBatch() drains what
   /// remains and then returns false. Idempotent.

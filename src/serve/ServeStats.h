@@ -20,6 +20,9 @@
 ///   serve.errors            of those, plus requests failed by a crash,
 ///                           the ones answered ERR (counter)
 ///   serve.shard.restarts    shard crash/restart cycles (counter)
+///   serve.checkpoints       checkpoints a shard committed: `!checkpoint`,
+///                           periodic and final (counter; health()'s
+///                           `checkpoints`)
 ///   serve.deadline.expired  request deadlines that expired (counter)
 ///   serve.dedup.hits        retries answered from the dedup table
 ///                           instead of re-executing (counter)
@@ -70,6 +73,7 @@ struct ShardStats {
   Counter Requests{"serve.requests"};
   Counter Errors{"serve.errors"};
   Counter Restarts{"serve.shard.restarts"};
+  Counter Checkpoints{"serve.checkpoints"};
   Counter DeadlineExpired{"serve.deadline.expired"};
   Counter DedupHits{"serve.dedup.hits"};
   Counter Replayed{"serve.replayed"};

@@ -8,10 +8,11 @@
 
 #include <unistd.h>
 
+#include <optional>
+
 #include "image/Bootstrap.h"
 #include "image/Checkpoint.h"
 #include "image/Snapshot.h"
-#include "objmem/Safepoint.h"
 #include "obs/Profiler.h"
 #include "vkernel/Chaos.h"
 
@@ -73,7 +74,7 @@ Shard::Health Shard::health() {
   H.Requests = Stats.Requests.value();
   H.Errors = Stats.Errors.value();
   H.Batches = Stats.BatchSize.count();
-  H.Checkpoints = CheckpointCount.load(std::memory_order_relaxed);
+  H.Checkpoints = Stats.Checkpoints.value();
   H.QueueDepth = queueDepth();
   uint64_t Oldest = Batcher.oldestEnqueueNs();
   if (Oldest != 0) {
@@ -143,6 +144,8 @@ void Shard::bootVm() {
   VM->evaluate("Smalltalk at: #ShardId put: " +
                std::to_string(Config.Index));
 
+  // The loaded image is what the crash ladder would load again.
+  Unsaved = false;
   if (journaled()) {
     if (PrevMarks.empty())
       PrevMarks.push_back(0);
@@ -158,26 +161,19 @@ void Shard::bootVm() {
                            static_cast<int>(Config.Vm.Interpreters));
 
   if (!Config.CheckpointPath.empty()) {
+    // No periodic thread (EveryMs stays 0): a checkpoint taken from one
+    // would stop the world mid-request and cover half of it. The shard
+    // thread checkpoints between batches instead (checkpoint()).
     Checkpointer::Options O;
     O.Path = Config.CheckpointPath;
-    // A journaled shard must not let the periodic thread stop the world
-    // mid-eval: a checkpoint taken there would cover half a request and
-    // no single journal position describes it. The shard thread
-    // checkpoints between batches instead (maybeAutoCheckpoint).
-    O.EveryMs = journaled() ? 0 : Config.CheckpointEveryMs;
     O.KeepGenerations = Config.KeepGenerations;
-    if (journaled())
-      O.JournalMark = [this](uint64_t &M) {
-        M = PendingMark;
-        return true;
-      };
     Ck = std::make_unique<Checkpointer>(*VM, O);
   }
   // First boot only: rebooting must not push an overdue auto-checkpoint
   // further out, or a kill storm arriving faster than CheckpointEveryMs
   // starves checkpoints forever — the journal never truncates and every
   // reboot replays a longer history.
-  if (journaled() && Config.CheckpointEveryMs > 0 && NextAutoCkNs == 0)
+  if (Config.CheckpointEveryMs > 0 && NextAutoCkNs == 0)
     NextAutoCkNs =
         Telemetry::nowNs() + Config.CheckpointEveryMs * 1000000;
   Generation.fetch_add(1, std::memory_order_relaxed);
@@ -188,8 +184,6 @@ void Shard::restartVm(const char *Why) {
   setState("restarting");
   noteError(std::string("shard crashed (") + Why +
             "); restarting from last committed snapshot");
-  if (Ck)
-    CkTakenBase += Ck->checkpointsTaken();
   Stats.Restarts.add();
   if (journaled() && chaos::failPoint("journal.tear")) {
     // Torn-tail drill: a real crash can lose whatever the last fsync
@@ -206,8 +200,6 @@ void Shard::restartVm(const char *Why) {
 }
 
 void Shard::teardownVm() {
-  if (Ck)
-    CkTakenBase += Ck->checkpointsTaken();
   Ck.reset();
   if (VM)
     VM->shutdown();
@@ -240,67 +232,18 @@ void Shard::processBatch(Batch &B) {
       evalRequest(Q);
       break;
     case Request::Kind::Checkpoint: {
+      // Last in its batch (RequestBatcher::takeBatch), so every intent
+      // this batch journaled has executed before the mark is read.
+      std::string Err;
       Q.Done = true;
-      if (!Ck) {
-        Q.Ok = false;
-        Q.Value = "shard " + std::to_string(Config.Index) +
-                  ": checkpointing disabled";
-      } else {
-        if (journaled()) {
-          // Mid-batch checkpoint: everything executed so far has its
-          // outcome below endPos, but this batch's *unexecuted* intents
-          // are below it too (prepareBatchJournal appends the whole
-          // batch up front). Freeze the mark, then re-journal the
-          // unexecuted tail above it, so replay-from-mark re-sees exactly
-          // the work this image will not contain.
-          PendingMark = Jrnl->endPos();
-          bool ReAppended = false;
-          for (size_t J = I + 1; J < B.size(); ++J) {
-            QueuedRequest &T = B[J];
-            if (T.Kind != Request::Kind::Eval || T.Done ||
-                T.JournalId == 0)
-              continue;
-            std::string Err;
-            // Retire the original intent first: a replay from an older
-            // fallback mark must not run both it and its copy. Counts
-            // toward the sync below — an unsynced retirement could tear
-            // off and resurrect the original.
-            if (Jrnl->appendOutcome(T.JournalId, T.ClientId, T.ClientSeq,
-                                    T.HasSeq,
-                                    Journal::Outcome::SkippedCrash, false,
-                                    "superseded by re-journal", Err))
-              ReAppended = true;
-            uint64_t NewId = 0;
-            if (Jrnl->appendIntent(T.ClientId, T.ClientSeq, T.HasSeq,
-                                   T.Source, NewId, Err)) {
-              T.JournalId = NewId;
-              Stats.JournalAppends.add();
-              ReAppended = true;
-            } else {
-              Stats.JournalAppendFailures.add();
-            }
-          }
-          if (ReAppended) {
-            std::string Err;
-            if (Jrnl->sync(Err))
-              Stats.JournalFsyncs.add();
-            else
-              Stats.JournalFsyncFailures.add();
-          }
-        }
-        std::string Err;
-        Q.Ok = Ck->checkpointNow(Err);
-        if (Q.Ok) {
-          Q.Value = "shard " + std::to_string(Config.Index) +
-                    " checkpointed to " + Config.CheckpointPath;
-          if (journaled())
-            commitJournalTruncate();
-        } else {
-          Q.Value = "shard " + std::to_string(Config.Index) +
-                    " checkpoint failed: " + Err;
-          noteError(Q.Value);
-        }
-      }
+      Q.Ok = Ck && checkpoint(Err);
+      Q.Value = "shard " + std::to_string(Config.Index);
+      if (!Ck)
+        Q.Value += ": checkpointing disabled";
+      else if (Q.Ok)
+        Q.Value += " checkpointed to " + Config.CheckpointPath;
+      else
+        Q.Value += " checkpoint failed: " + Err;
       break;
     }
     default:
@@ -312,9 +255,6 @@ void Shard::processBatch(Batch &B) {
     }
     chaos::point("serve.shard.request");
   }
-  if (Ck)
-    CheckpointCount.store(CkTakenBase + Ck->checkpointsTaken(),
-                          std::memory_order_relaxed);
 }
 
 void Shard::evalRequest(QueuedRequest &Q) {
@@ -342,6 +282,7 @@ void Shard::evalRequest(QueuedRequest &Q) {
                            ? "[true] whileTrue."
                            : Q.Source.c_str();
   VirtualMachine::EvalResult R = VM->evalWithDeadline(Source, Q.DeadlineNs);
+  Unsaved = true;
 
   Q.Done = true;
   Q.Ok = R.Ok;
@@ -392,12 +333,13 @@ void Shard::shardMain() {
   for (;;) {
     Batch B;
     {
-      // Waiting between batches counts as safe: the periodic checkpointer
-      // (or any service thread) can stop this shard's world meanwhile.
-      BlockedRegion Blocked(VM->memory().safepoint());
       ProfStateScope Prof(ProfState::Idle);
-      if (!Batcher.takeBatch(B, MaxBatch))
+      if (!Batcher.takeBatch(B, MaxBatch, autoCheckpointDueNs()))
         break; // closed and drained: graceful exit
+    }
+    if (B.empty()) { // woken with nothing queued: a checkpoint is due
+      maybeAutoCheckpoint();
+      continue;
     }
     Stats.BatchSize.record(B.size());
     // WAL discipline: every Eval's intent is on disk (and fsynced, once
@@ -409,33 +351,24 @@ void Shard::shardMain() {
     // Any refusal this batch produced (deadline expiries, timeouts) is
     // on disk before the sink releases its ERR to the client.
     syncRefusals();
-    // Journaled shards auto-checkpoint here, between batches: the
-    // journal is quiescent, so the recorded mark covers exactly what the
-    // image contains.
-    maybeAutoCheckpoint();
     uint64_t Now = Telemetry::nowNs();
     for (const QueuedRequest &Q : B)
       Stats.Latency.record(Now - Q.EnqueueNs);
     if (journaled())
       finishBatchJournal(B);
     Sink(std::move(B));
+    // Between batches no request is half done, and the journal is
+    // quiescent, so the recorded mark covers exactly what the image
+    // contains. The batch's answers are already out: none waits on the
+    // save.
+    maybeAutoCheckpoint();
   }
 
   // Graceful lifecycle: SIGTERM/stop() checkpoints every shard before
   // the pool goes down.
-  if (Ck) {
-    if (journaled())
-      PendingMark = Jrnl->endPos();
-    std::string Err;
-    if (Ck->checkpointNow(Err)) {
-      CheckpointCount.store(CkTakenBase + Ck->checkpointsTaken(),
-                            std::memory_order_relaxed);
-      if (journaled())
-        commitJournalTruncate();
-    } else {
-      noteError("final checkpoint failed: " + Err);
-    }
-  }
+  std::string Err;
+  if (Ck)
+    checkpoint(Err);
   teardownVm();
   setState("stopped");
 }
@@ -492,18 +425,8 @@ void Shard::prepareBatchJournal(Batch &B) {
     Stats.JournalAppends.add();
     Appended = true;
   }
-  if (Appended) {
-    std::string Err;
-    if (Jrnl->sync(Err)) {
-      Stats.JournalFsyncs.add();
-    } else {
-      // Warn-only: the records are written, so in-process crash replay
-      // still sees them; only power loss could lose the unsynced tail,
-      // and the tear drill proves replay converges even then.
-      Stats.JournalFsyncFailures.add();
-      noteError("journal fsync failed (continuing): " + Err);
-    }
-  }
+  if (Appended)
+    syncJournal();
 }
 
 void Shard::finishBatchJournal(Batch &B) {
@@ -551,16 +474,19 @@ void Shard::syncRefusals() {
   if (!journaled() || !RefusalPending)
     return;
   RefusalPending = false;
+  syncJournal();
+}
+
+void Shard::syncJournal() {
   std::string Err;
-  if (Jrnl->sync(Err))
+  if (Jrnl->sync(Err)) {
     Stats.JournalFsyncs.add();
-  else {
-    // The refusal record is written, just not fsynced: an in-process
-    // reboot replays it fine, and only the tear drill / power loss can
-    // cut it — at which point replay re-executes a request the client
-    // was told failed. Surface it loudly; don't wedge the shard.
+  } else {
+    // Warn-only: the records are written, so in-process crash replay
+    // still sees them; only power loss (or the tear drill) can cut the
+    // unsynced tail. Surface it loudly; don't wedge the shard.
     Stats.JournalFsyncFailures.add();
-    noteError("journal refusal fsync failed (continuing): " + Err);
+    noteError("journal fsync failed (continuing): " + Err);
   }
 }
 
@@ -595,6 +521,7 @@ void Shard::replayJournal(uint64_t Mark) {
           Telemetry::nowNs() + Config.ReplayDeadlineMs * 1000000;
       VirtualMachine::EvalResult Res =
           VM->evalWithDeadline(E.Source, DeadlineNs);
+      Unsaved = true;
       Stats.Replayed.add();
       if (E.Out == Journal::Outcome::Executed) {
         // The acknowledged response is canonical — what the client was
@@ -621,12 +548,33 @@ void Shard::replayJournal(uint64_t Mark) {
   }
 }
 
-void Shard::commitJournalTruncate() {
-  // The checkpoint that just committed covers PendingMark, but a crash
-  // ladder may still fall back to a rotated generation: keep everything
-  // the *oldest retained* image needs. The deque is seeded with 0, so
+bool Shard::checkpoint(std::string &Err) {
+  std::optional<uint64_t> Mark;
+  if (journaled()) {
+    // A crash may tear off what is unsynced. Were that below the mark,
+    // the records appended after the reboot would land under it, and the
+    // next reboot from this image would skip them.
+    syncJournal();
+    RefusalPending = false; // that sync covered them too
+    Mark = Jrnl->endPos();
+  }
+  if (!Ck->checkpointNow(Err, Mark)) {
+    noteError("checkpoint failed: " + Err);
+    return false;
+  }
+  Stats.Checkpoints.add();
+  Unsaved = false;
+  if (Mark)
+    commitJournalTruncate(*Mark);
+  return true;
+}
+
+void Shard::commitJournalTruncate(uint64_t Mark) {
+  // The checkpoint that just committed covers Mark, but a crash ladder
+  // may still fall back to a rotated generation: keep everything the
+  // *oldest retained* image needs. The deque is seeded with 0, so
   // truncation only starts once the rotation window has cycled.
-  PrevMarks.push_back(PendingMark);
+  PrevMarks.push_back(Mark);
   while (PrevMarks.size() > Config.KeepGenerations + 1)
     PrevMarks.pop_front();
   std::string Err;
@@ -637,20 +585,15 @@ void Shard::commitJournalTruncate() {
     noteError("journal truncation failed: " + Err);
 }
 
+uint64_t Shard::autoCheckpointDueNs() const {
+  return Ck && Config.CheckpointEveryMs > 0 && Unsaved ? NextAutoCkNs : 0;
+}
+
 void Shard::maybeAutoCheckpoint() {
-  if (!journaled() || !Ck || Config.CheckpointEveryMs == 0)
+  uint64_t Due = autoCheckpointDueNs();
+  if (Due == 0 || Telemetry::nowNs() < Due)
     return;
-  uint64_t Now = Telemetry::nowNs();
-  if (Now < NextAutoCkNs)
-    return;
-  NextAutoCkNs = Now + Config.CheckpointEveryMs * 1000000;
-  PendingMark = Jrnl->endPos();
+  NextAutoCkNs = Telemetry::nowNs() + Config.CheckpointEveryMs * 1000000;
   std::string Err;
-  if (Ck->checkpointNow(Err)) {
-    CheckpointCount.store(CkTakenBase + Ck->checkpointsTaken(),
-                          std::memory_order_relaxed);
-    commitJournalTruncate();
-  } else {
-    noteError("auto checkpoint failed: " + Err);
-  }
+  checkpoint(Err);
 }

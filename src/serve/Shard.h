@@ -29,9 +29,12 @@
 /// shared-memory image, multiplied); the chaos kill models the crash the
 /// way the snapshot fuzz lane models torn writes.
 ///
-/// While waiting for a batch the shard thread sits in a safepoint
-/// BlockedRegion, so its periodic Checkpointer can stop that VM's world
-/// between batches.
+/// Checkpoints: a `!checkpoint`, the periodic one (CheckpointEveryMs) and
+/// the final one at stop all run on the shard thread through
+/// checkpoint(), between requests, so an image never holds half of one.
+/// A `!checkpoint` ends the batch it lands in. The periodic one is
+/// skipped while the VM has run nothing since the last checkpoint; when
+/// one is pending, the batcher wakes an idle shard at its due time.
 ///
 /// Durability (opt-in via ShardConfig::JournalPath; see serve/Journal.h):
 /// the shard write-ahead-logs every Eval and fsyncs once per batch before
@@ -39,11 +42,11 @@
 /// crash ladder, after loading a checkpoint, replays journaled work past
 /// the checkpoint's covered position before reporting Ready — so a
 /// journaled shard's `!kill` loses nothing that was acknowledged.
-/// Journaled shards disable the *periodic* Checkpointer thread and
-/// instead checkpoint on the shard thread between batches, so the
-/// recorded journal mark is exact; truncation below the oldest retained
-/// generation's mark happens strictly after each checkpoint's rename
-/// lands.
+/// Checkpoints run between batches, so the recorded journal mark is
+/// exact. The journal is synced before the mark is read, so no crash can
+/// leave it ending below a committed mark; truncation below the oldest
+/// retained generation's mark happens strictly after each checkpoint's
+/// rename lands.
 ///
 /// Deadlines: the shard thread runs every evaluation through
 /// VirtualMachine::evalWithDeadline, so the interpreter itself checks the
@@ -192,15 +195,22 @@ private:
   /// client was told to retry. Executed outcomes stay unsynced on
   /// purpose: losing one only degrades replay to a deterministic re-run.
   void syncRefusals();
+  /// Fsync the journal, counting the sync or its failure.
+  void syncJournal();
   /// After image load: re-apply journaled intents at or past \p Mark per
   /// their outcome records.
   void replayJournal(uint64_t Mark);
-  /// After a successful checkpoint rename: compact the journal below the
-  /// oldest retained generation's mark.
-  void commitJournalTruncate();
-  /// Between batches: periodic checkpoint for journaled shards (their
-  /// Checkpointer thread is disabled so the mark is always read at a
-  /// batch boundary).
+  /// After a successful checkpoint rename covering \p Mark: compact the
+  /// journal below the oldest retained generation's mark.
+  void commitJournalTruncate(uint64_t Mark);
+
+  /// Every checkpoint this shard takes; shard thread, between requests,
+  /// Ck set. Syncs the journal and stamps its end as the image's mark.
+  bool checkpoint(std::string &Err);
+  /// When a periodic checkpoint waits on unsaved work: its due time
+  /// (Telemetry::nowNs); otherwise 0.
+  uint64_t autoCheckpointDueNs() const;
+  /// Between batches: the periodic checkpoint, once due.
   void maybeAutoCheckpoint();
 
   ShardConfig Config;
@@ -221,10 +231,6 @@ private:
   /// and health() only reads counters through the journal's own mutex.
   std::unique_ptr<Journal> Jrnl;
   DedupTable Dedup;
-  /// Journal mark the in-progress checkpoint covers; shard thread only
-  /// (set right before every checkpointNow, read by its JournalMark
-  /// callback on the same thread).
-  uint64_t PendingMark = 0;
   /// A non-Executed outcome was appended since the last sync; shard
   /// thread only.
   bool RefusalPending = false;
@@ -234,16 +240,15 @@ private:
   /// rotation window has cycled once. Shard thread only.
   std::deque<uint64_t> PrevMarks;
   uint64_t NextAutoCkNs = 0; ///< shard thread only
+  /// The VM ran something (an eval or a replay) since its image was
+  /// loaded or last checkpointed. Shard thread only.
+  bool Unsaved = false;
 
   std::mutex ReadyMutex;
   std::condition_variable ReadyCv;
   bool BootDone = false; // guarded by ReadyMutex
 
   std::atomic<uint64_t> Generation{0};
-  std::atomic<uint64_t> CheckpointCount{0};
-  /// Checkpoints taken by Checkpointers of earlier generations (each
-  /// restart builds a fresh one). Shard thread only.
-  uint64_t CkTakenBase = 0;
 
   std::mutex StateMutex;
   std::string State = "booting";   // guarded by StateMutex

@@ -17,10 +17,13 @@ FreeContextPool::FreeContextPool(FreeContextKind Kind,
                                  unsigned NumInterpreters,
                                  bool LocksEnabled)
     : Kind(Kind) {
-  unsigned N = Kind == FreeContextKind::Replicated ? NumInterpreters : 1;
+  bool Replicated = Kind == FreeContextKind::Replicated;
+  unsigned N = Replicated ? NumInterpreters : 1;
   assert(N > 0 && "need at least one free list");
+  // A replica is touched only by its own interpreter, and flushAll runs
+  // inside the scavenge pause or on a VM no interpreter runs yet.
   for (unsigned I = 0; I < N; ++I)
-    PerInterp.push_back(std::make_unique<Bins>(LocksEnabled));
+    PerInterp.push_back(std::make_unique<Bins>(LocksEnabled && !Replicated));
 }
 
 Oop FreeContextPool::take(unsigned InterpId, uint32_t Slots) {

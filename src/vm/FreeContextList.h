@@ -15,6 +15,8 @@
 /// result. Lists hold oops of *dead, never-escaped* contexts; because a
 /// scavenge would otherwise treat stale entries as garbage roots, every
 /// list is flushed at the start of each scavenge (pre-scavenge hook).
+/// Replicated lists take no lock: only the owning interpreter touches its
+/// list, and the flush runs while every interpreter is stopped.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,13 +39,15 @@ enum class FreeContextKind : uint8_t {
   /// One list shared by all interpreters behind a spin lock — the early-MS
   /// bottleneck.
   Shared,
-  /// One list per interpreter — the published fix.
+  /// One unlocked list per interpreter — the published fix.
   Replicated,
 };
 
 /// The pool of reusable context objects.
 class FreeContextPool {
 public:
+  /// \param LocksEnabled false in the baseline-BS build; only a Shared
+  ///        list ever locks.
   FreeContextPool(FreeContextKind Kind, unsigned NumInterpreters,
                   bool LocksEnabled);
 

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/Telemetry.h"
+
 using namespace mst;
 using namespace mst::serve;
 
@@ -96,4 +98,68 @@ TEST(RequestBatcher, OldestEnqueueNsTracksTheQueueFront) {
   Batch Out;
   ASSERT_TRUE(B.takeBatch(Out, 256));
   EXPECT_EQ(B.oldestEnqueueNs(), 0u); // drained
+}
+
+namespace {
+QueuedRequest adminReq(Request::Kind K, uint64_t Seq) {
+  QueuedRequest Q = req(1, Seq);
+  Q.Kind = K;
+  return Q;
+}
+} // namespace
+
+TEST(RequestBatcher, CheckpointEndsItsBatch) {
+  RequestBatcher B;
+  ASSERT_TRUE(B.push(req(1, 0)));
+  ASSERT_TRUE(B.push(adminReq(Request::Kind::Checkpoint, 1)));
+  ASSERT_TRUE(B.push(req(1, 2)));
+  ASSERT_TRUE(B.push(req(1, 3)));
+
+  Batch Out;
+  ASSERT_TRUE(B.takeBatch(Out, 256));
+  ASSERT_EQ(Out.size(), 2u);
+  EXPECT_EQ(Out[0].Kind, Request::Kind::Eval);
+  EXPECT_EQ(Out[1].Kind, Request::Kind::Checkpoint);
+  ASSERT_TRUE(B.takeBatch(Out, 256));
+  ASSERT_EQ(Out.size(), 2u);
+  EXPECT_EQ(Out[0].Seq, 2u);
+  EXPECT_EQ(Out[1].Seq, 3u);
+}
+
+TEST(RequestBatcher, KillDoesNotEndItsBatch) {
+  // The shard answers what queued behind a kill ERR, in the same batch.
+  RequestBatcher B;
+  ASSERT_TRUE(B.push(req(1, 0)));
+  ASSERT_TRUE(B.push(adminReq(Request::Kind::Kill, 1)));
+  ASSERT_TRUE(B.push(req(1, 2)));
+
+  Batch Out;
+  ASSERT_TRUE(B.takeBatch(Out, 256));
+  ASSERT_EQ(Out.size(), 3u);
+  EXPECT_EQ(Out[1].Kind, Request::Kind::Kill);
+}
+
+TEST(RequestBatcher, WakeTimeReturnsAnEmptyBatchOnceItPasses) {
+  RequestBatcher B;
+  Batch Out;
+  Out.push_back(req(1, 99)); // cleared by every call
+  uint64_t Start = Telemetry::nowNs();
+  ASSERT_TRUE(B.takeBatch(Out, 256, Start + 20000000));
+  EXPECT_TRUE(Out.empty());
+  EXPECT_GE(Telemetry::nowNs(), Start + 20000000);
+
+  // A wake time already past returns at once; a queued request still
+  // comes first.
+  ASSERT_TRUE(B.takeBatch(Out, 256, 1));
+  EXPECT_TRUE(Out.empty());
+  ASSERT_TRUE(B.push(req(1, 0)));
+  ASSERT_TRUE(B.takeBatch(Out, 256, 1));
+  ASSERT_EQ(Out.size(), 1u);
+
+  // close() still ends the loop, wake time or not.
+  std::thread Closer([&] { B.close(); });
+  uint64_t Far = Telemetry::nowNs() + 60ull * 1000000000;
+  EXPECT_FALSE(B.takeBatch(Out, 256, Far));
+  Closer.join();
+  EXPECT_FALSE(B.takeBatch(Out, 256, 1));
 }

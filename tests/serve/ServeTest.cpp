@@ -285,29 +285,91 @@ TEST_F(ServeTest, ProtocolErrorsAnswerWithoutKillingTheServer) {
 
 // --- Periodic checkpoints ------------------------------------------------
 
-uint64_t autoCheckpointsTaken() {
-  for (const auto &[Name, Value] : Telemetry::counterTotals())
-    if (Name == "img.save.auto")
+uint64_t counterTotal(const char *Name) {
+  for (const auto &[N, Value] : Telemetry::counterTotals())
+    if (N == Name)
       return Value;
   return 0;
 }
 
-TEST(ServeCheckpoint, PeriodicCheckpointerStopsAnIdleShard) {
-  // A shard waiting for work must sit in a safepoint BlockedRegion, or its
-  // periodic Checkpointer can never stop that VM's world.
+TEST(ServeCheckpoint, PeriodicCheckpointRunsOnceAfterWorkAndNotWhileIdle) {
+  constexpr uint64_t PeriodMs = 50;
   std::string DataDir = makeTempDir();
   ServerConfig Config = testServerConfig(2, DataDir);
-  Config.Pool.CheckpointEveryMs = 50;
-  uint64_t Before = autoCheckpointsTaken();
+  Config.Pool.CheckpointEveryMs = PeriodMs;
+  uint64_t Before = counterTotal("img.save.snapshots");
+  Server S(std::move(Config));
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+  auto Saved = [&] { return counterTotal("img.save.snapshots") - Before; };
+
+  // Freshly booted shards have nothing to save.
+  std::this_thread::sleep_for(std::chrono::milliseconds(4 * PeriodMs));
+  EXPECT_EQ(Saved(), 0u);
+
+  Client C;
+  ASSERT_TRUE(C.connect(S.port())); // session 0 -> shard 0
+  bool Ok = false;
+  std::string Value;
+  ASSERT_TRUE(C.eval("3 + 4", Ok, Value));
+  ASSERT_TRUE(Ok) << Value;
+
+  // The checkpoint the eval made due lands with no further request to
+  // the shard, and !health (answered by the front-end) counts it.
+  std::string Json;
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  do {
+    ASSERT_TRUE(C.eval("!health", Ok, Json));
+    ASSERT_TRUE(Ok);
+    if (Json.find("\"checkpoints\":1,") != std::string::npos)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  } while (std::chrono::steady_clock::now() < Deadline);
+  EXPECT_NE(Json.find("\"checkpoints\":1,"), std::string::npos) << Json;
+  EXPECT_EQ(Saved(), 1u);
+
+  // Clean again: more than ten periods pass without another image.
+  std::this_thread::sleep_for(std::chrono::milliseconds(12 * PeriodMs));
+  EXPECT_EQ(Saved(), 1u);
+  auto Health = S.pool().health();
+  EXPECT_EQ(Health[0].Checkpoints, 1u);
+  EXPECT_EQ(Health[1].Checkpoints, 0u);
+  S.stop();
+}
+
+TEST(ServeCheckpoint, PeriodicCheckpointNeverHoldsHalfARequest) {
+  // A long request spans many periods. Every image the shard commits
+  // must hold either none of it or all of it.
+  std::string DataDir = makeTempDir();
+  ServerConfig Config = testServerConfig(1, DataDir);
+  Config.Pool.CheckpointEveryMs = 20;
   Server S(std::move(Config));
   std::string Error;
   ASSERT_TRUE(S.start(Error)) << Error;
 
-  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (autoCheckpointsTaken() - Before < 4 &&
-         std::chrono::steady_clock::now() < Deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_GE(autoCheckpointsTaken() - Before, 4u);
+  Client C;
+  ASSERT_TRUE(C.connect(S.port()));
+  bool Ok = false;
+  std::string Value;
+  ASSERT_TRUE(
+      C.eval("Smalltalk at: #A put: (Smalltalk at: #B put: 0)", Ok, Value));
+  ASSERT_TRUE(Ok) << Value;
+  ASSERT_TRUE(C.eval("!checkpoint", Ok, Value, 120.0));
+  ASSERT_TRUE(Ok) << Value;
+  ASSERT_TRUE(C.eval("| t | Smalltalk at: #A put: 1. "
+                     "1 to: 10000000 do: [:i | t := i]. "
+                     "Smalltalk at: #B put: 1. ^'done'",
+                     Ok, Value, 600.0));
+  ASSERT_TRUE(Ok) << Value;
+
+  ASSERT_TRUE(C.eval("!kill 0", Ok, Value, 120.0));
+  ASSERT_TRUE(Ok) << Value;
+  ASSERT_TRUE(C.eval("^(Smalltalk at: #A) printString, ' ', "
+                     "(Smalltalk at: #B) printString",
+                     Ok, Value, 120.0));
+  ASSERT_TRUE(Ok) << Value;
+  EXPECT_TRUE(Value == "0 0" || Value == "1 1")
+      << "the reboot loaded a checkpoint taken mid-request: " << Value;
   S.stop();
 }
 
@@ -323,12 +385,12 @@ size_t processThreads() {
 
 TEST(ServeThreads, EachShardRunsOnOneThread) {
   // A serving process adds its event loop plus one thread per shard;
-  // the shard thread enforces request deadlines itself. Periodic
-  // checkpoints stay off, since each would add a Checkpointer thread.
+  // the shard thread enforces request deadlines and takes the periodic
+  // checkpoints itself.
   constexpr unsigned Shards = 3;
   std::string DataDir = makeTempDir();
   ServerConfig Config = testServerConfig(Shards, DataDir);
-  Config.Pool.CheckpointEveryMs = 0;
+  Config.Pool.CheckpointEveryMs = 50;
   // ThreadSanitizer's runtime starts a helper thread when the process
   // creates its first thread; create one first so it is already counted.
   std::thread([] {}).join();
@@ -662,6 +724,87 @@ TEST(ServeJournal, KillBetweenCheckpointCommitAndTruncationConverges) {
   // Below-mark intents (put 0, first increment) must NOT re-apply on top
   // of the checkpoint that already contains them.
   EXPECT_EQ(Value, "2") << "replay double-applied or lost an increment";
+  S.stop();
+}
+
+// A `!checkpoint` pipelined between increments: the image holds exactly
+// the increments ahead of it. With a journal, the reboot replays the two
+// behind it; without one, they roll back.
+TEST(ServeJournal, CheckpointAmidPipelinedIncrementsCoversWhatRanBeforeIt) {
+  for (bool Journaled : {true, false}) {
+    SCOPED_TRACE(Journaled ? "journaled" : "unjournaled");
+    std::string DataDir = makeTempDir();
+    ServerConfig Config = testServerConfig(1, DataDir);
+    Config.Pool.Journal = Journaled;
+    Server S(std::move(Config));
+    std::string Error;
+    ASSERT_TRUE(S.start(Error)) << Error;
+
+    Client C;
+    ASSERT_TRUE(C.connect(S.port()));
+    bool Ok = false;
+    std::string Value;
+    ASSERT_TRUE(C.eval("Smalltalk at: #C put: 0", Ok, Value));
+    ASSERT_TRUE(Ok) << Value;
+
+    // The slow eval holds the shard while the rest queue up behind it.
+    const std::string Inc = "Smalltalk at: #C put: (Smalltalk at: #C) + 1";
+    for (const std::string &Line :
+         {std::string("| t | 1 to: 300000 do: [:i | t := i]. ^0"), Inc,
+          std::string("!checkpoint"), Inc, Inc})
+      ASSERT_TRUE(C.sendLine(Line));
+    for (int I = 0; I < 5; ++I) {
+      std::string Line, Tag;
+      ASSERT_TRUE(C.recvLine(Line, 120.0));
+      ASSERT_TRUE(parseResponseLine(Line, Ok, Tag, Value));
+      EXPECT_TRUE(Ok) << Value;
+    }
+
+    ASSERT_TRUE(C.eval("!kill 0", Ok, Value, 120.0));
+    ASSERT_TRUE(Ok) << Value;
+    ASSERT_TRUE(C.eval("Smalltalk at: #C", Ok, Value, 120.0));
+    ASSERT_TRUE(Ok) << Value;
+    EXPECT_EQ(Value, Journaled ? "3" : "1");
+    S.stop();
+  }
+}
+
+// A checkpoint's mark covers every record the shard appended, synced or
+// not. A crash that tears the unsynced tail must not leave the journal
+// ending below that mark: records appended after the reboot would land
+// below it, and the next reboot from the same image would skip them.
+TEST(ServeJournal, TornTailUnderACheckpointMarkLosesNoLaterWrite) {
+  std::string DataDir = makeTempDir();
+  ServerConfig Config = testServerConfig(1, DataDir);
+  Config.Pool.Journal = true;
+  Server S(std::move(Config));
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+
+  Client C;
+  ASSERT_TRUE(C.connect(S.port()));
+  bool Ok = false;
+  std::string Value;
+  const std::string Inc = "Smalltalk at: #C put: (Smalltalk at: #C) + 1";
+  ASSERT_TRUE(C.eval("Smalltalk at: #C put: 0", Ok, Value));
+  ASSERT_TRUE(C.eval(Inc, Ok, Value));
+  ASSERT_TRUE(Ok) << Value; // its Executed outcome waits for a sync
+  ASSERT_TRUE(C.eval("!checkpoint", Ok, Value, 120.0));
+  ASSERT_TRUE(Ok) << Value;
+
+  chaos::armFail("journal.tear", 1000, 7);
+  ASSERT_TRUE(C.eval("!kill 0", Ok, Value, 120.0));
+  EXPECT_TRUE(Ok) << Value;
+  chaos::disarmFail();
+  ASSERT_TRUE(C.eval(Inc, Ok, Value, 120.0));
+  ASSERT_TRUE(Ok) << Value;
+  EXPECT_EQ(Value, "2");
+
+  ASSERT_TRUE(C.eval("!kill 0", Ok, Value, 120.0));
+  EXPECT_TRUE(Ok) << Value;
+  ASSERT_TRUE(C.eval("Smalltalk at: #C", Ok, Value, 120.0));
+  ASSERT_TRUE(Ok) << Value;
+  EXPECT_EQ(Value, "2") << "an acknowledged increment was lost";
   S.stop();
 }
 

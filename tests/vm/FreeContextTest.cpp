@@ -6,6 +6,7 @@
 
 #include "TestVm.h"
 
+#include "obs/Telemetry.h"
 #include "vm/FreeContextList.h"
 
 using namespace mst;
@@ -108,6 +109,35 @@ TEST(FreeContextIntegrationTest, CapturedHomeIsNotRecycled) {
   EXPECT_EQ(T.evalInt("| b | b := nil makeAdder: 5. nil makeAdder: 100. "
                       "1 to: 50 do: [:i | i printString]. ^b value: 2"),
             7);
+}
+
+uint64_t counterTotal(const char *Name) {
+  for (const auto &[N, V] : Telemetry::counterTotals())
+    if (N == Name)
+      return V;
+  return 0;
+}
+
+/// Paper §3.2: the replicated lists exist so that they need no
+/// serialization. A multiprocessor VM's replicated lists recycle without
+/// a lock round trip; the shared list still takes its lock.
+TEST(FreeContextIntegrationTest, OnlyTheSharedListTakesALock) {
+  for (FreeContextKind Kind :
+       {FreeContextKind::Replicated, FreeContextKind::Shared}) {
+    VmConfig C = VmConfig::multiprocessor(1);
+    C.FreeCtxKind = Kind;
+    TestVm T(C);
+    uint64_t Locks = counterTotal("lock.freectx.acquisitions");
+    uint64_t Reuses = T.vm().contextPool().reuses();
+    T.evalInt("| s | s := 0. 1 to: 200 do: [:i | "
+              "s := s + (i \\\\ 10) factorial printString size]. ^s");
+    EXPECT_GT(T.vm().contextPool().reuses(), Reuses);
+    uint64_t Taken = counterTotal("lock.freectx.acquisitions") - Locks;
+    if (Kind == FreeContextKind::Replicated)
+      EXPECT_EQ(Taken, 0u);
+    else
+      EXPECT_GT(Taken, 0u);
+  }
 }
 
 } // namespace
