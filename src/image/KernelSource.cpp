@@ -179,13 +179,21 @@ const std::vector<MethodDef> &mst::kernelMethods() {
        "asCharacter ^Character value: self"},
       {"Integer", false, "printing",
        "printOn: aStream ^self printOn: aStream base: 10"},
+      // A negative receiver gives up its last digit before it is negated,
+      // so the most negative SmallInteger prints without overflowing; 64
+      // digits hold any SmallInteger in base 2.
       {"Integer", false, "printing",
-       "printOn: aStream base: b | n digits i | n := self. n = 0 ifTrue: "
-       "[aStream nextPut: $0. ^self]. n < 0 ifTrue: [aStream nextPut: $-. "
-       "n := 0 - n]. digits := String new: 32. i := 0. [n > 0] whileTrue: "
-       "[i := i + 1. digits at: i put: (Character value: 48 + (n \\\\ "
-       "b)). n := n // b]. [i > 0] whileTrue: [aStream nextPut: (digits "
-       "at: i). i := i - 1]"},
+       "printOn: aStream base: b | n digits i d | n := self. n = 0 "
+       "ifTrue: [aStream nextPut: $0. ^self]. digits := String new: 64. i "
+       ":= 0. n < 0 ifTrue: [aStream nextPut: $-. d := 0 - (n \\\\ b) "
+       "\\\\ b. i := 1. digits at: 1 put: (Character value: 48 + d). n := "
+       "0 - (n + d // b)]. [n > 0] whileTrue: [i := i + 1. digits at: i "
+       "put: (Character value: 48 + (n \\\\ b)). n := n // b]. [i > 0] "
+       "whileTrue: [aStream nextPut: (digits at: i). i := i - 1]"},
+      // Paper §3.3's compatibility rule: an interpreter without
+      // primitive 12 runs the Smalltalk code above.
+      {"SmallInteger", false, "printing",
+       "printString <primitive: 12> ^super printString"},
 
       /// --- Character -----------------------------------------------------
       {"Character", false, "accessing", "value ^value"},

@@ -278,6 +278,20 @@ Interpreter::PrimResult Interpreter::dispatchPrimitive(int Index,
     return Replace(Str);
   }
 
+  case PrimSmallIntPrintString: {
+    if (!Recv.isSmallInt())
+      return PrimResult::Fail;
+    std::string Text = std::to_string(Recv.smallInt());
+    writeBackIp();
+    Oop Str = Om.makeString(Text);
+    reloadFrame();
+    if (Str.isNull()) {
+      vmError("OutOfMemoryError: printString failed (heap ceiling reached)");
+      return PrimResult::Success;
+    }
+    return Replace(Str);
+  }
+
   case PrimCharFromValue: {
     Oop VO = topValue(0);
     if (!VO.isSmallInt() || VO.smallInt() < 0 || VO.smallInt() > 255)

@@ -33,6 +33,9 @@ enum Primitive : int {
   PrimReplaceFromTo = 9, ///< replaceFrom:to:with:startingAt:
   PrimAsSymbol = 10,
   PrimSymbolAsString = 11,
+  PrimSmallIntPrintString = 12, ///< SmallInteger>>printString: the base-10
+                                ///< digits as a new String; fails for any
+                                ///< other receiver
   PrimCharFromValue = 13,
   PrimIdentical = 14,
   PrimInstVarAt = 16,

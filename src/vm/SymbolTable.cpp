@@ -35,12 +35,6 @@ Oop SymbolTable::intern(ObjectMemory &OM, const std::string &Name) {
   return Sym;
 }
 
-Oop SymbolTable::lookup(const std::string &Name) {
-  SpinLockGuard Guard(Lock);
-  auto It = Index.find(Name);
-  return It == Index.end() ? Oop() : Symbols[It->second];
-}
-
 size_t SymbolTable::size() {
   SpinLockGuard Guard(Lock);
   return Symbols.size();

@@ -41,9 +41,6 @@ public:
   /// \returns the unique Symbol oop for \p Name, creating it on first use.
   Oop intern(ObjectMemory &OM, const std::string &Name);
 
-  /// \returns the symbol for \p Name, or the null oop if never interned.
-  Oop lookup(const std::string &Name);
-
   /// Replaces the table contents with symbols loaded from a snapshot:
   /// clears everything, then adopts each (spelling, oop) pair. The oops
   /// must be old-space Symbol objects.

@@ -7,7 +7,6 @@
 #include "vm/VirtualMachine.h"
 
 #include <chrono>
-#include <fstream>
 
 #include "obs/Profiler.h"
 #include "obs/Telemetry.h"
@@ -394,24 +393,6 @@ std::string VirtualMachine::telemetryReport() {
                   Us(H.P99), Us(H.Max)});
   Out += Hists.render();
   return Out;
-}
-
-bool VirtualMachine::writeTelemetryJson(const std::string &Path) {
-  std::string Json = Telemetry::toJson(Telemetry::snapshot());
-  // Splice the resolved profile in as a sibling of counters/gauges when
-  // there is one; the document stays a single JSON object either way.
-  if (Profiler::enabled() || Profiler::ticks() > 0) {
-    ProfileReport Report = buildProfileReport();
-    if (!Report.empty() && !Json.empty() && Json.back() == '}') {
-      Json.pop_back();
-      Json += ",\"profile\":" + Report.toJson() + "}";
-    }
-  }
-  std::ofstream Os(Path, std::ios::binary | std::ios::trunc);
-  if (!Os)
-    return false;
-  Os << Json;
-  return static_cast<bool>(Os);
 }
 
 /// --- profiling -----------------------------------------------------------

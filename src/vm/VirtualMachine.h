@@ -215,11 +215,6 @@ public:
   /// contention by lock, cache hit rates, scavenge pause p50/p95/p99.
   std::string telemetryReport();
 
-  /// Writes Telemetry::toJson(Telemetry::snapshot()) to \p Path, with a
-  /// "profile" object spliced in when the sampling profiler has data.
-  /// \returns false on I/O failure.
-  bool writeTelemetryJson(const std::string &Path);
-
   /// --- Profiling -----------------------------------------------------------
 
   /// A resolver that turns sampled oop bits into names against this VM's

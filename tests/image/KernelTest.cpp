@@ -354,6 +354,58 @@ TEST_F(KernelTest, ConstructorsAndCollectionMath) {
       "ifFalse: [ok := false]]. ^ok"));
 }
 
+/// Smalltalk source for \p N. The most negative SmallInteger has no
+/// literal: its magnitude does not fit a SmallInteger.
+std::string smallIntExpr(intptr_t N) {
+  if (N == SmallIntMin)
+    return "(0 - " + std::to_string(SmallIntMax) + " - 1)";
+  return "(" + std::to_string(N) + ")";
+}
+
+TEST_F(KernelTest, SmallIntegerPrintStringAgreesWithPrintOn) {
+  // printString is primitive 12; printOn: is the Smalltalk code the
+  // primitive falls back to. Both print every SmallInteger, the most
+  // negative one included.
+  for (intptr_t N : {intptr_t(0), intptr_t(1), intptr_t(-1), intptr_t(9),
+                     intptr_t(-9), intptr_t(10), intptr_t(-10),
+                     intptr_t(1000000), SmallIntMax, SmallIntMin}) {
+    SCOPED_TRACE(N);
+    std::string E = smallIntExpr(N);
+    EXPECT_EQ(T.evalString("^" + E + " printString"), std::to_string(N));
+    EXPECT_EQ(T.evalString("| s | s := WriteStream on: (String new: 4). " +
+                           E + " printOn: s. ^s contents"),
+              std::to_string(N));
+  }
+  EXPECT_EQ(T.evalString("| s | s := WriteStream on: (String new: 4). " +
+                         smallIntExpr(SmallIntMin) +
+                         " printOn: s base: 2. ^s contents"),
+            "-1" + std::string(62, '0'));
+}
+
+TEST_F(KernelTest, PrintStringPrimitiveFailsOverToItsSmalltalkCode) {
+  // Paper §3.3: a receiver the primitive does not serve runs the method's
+  // Smalltalk code.
+  addMethod(T.vm(), T.om().known().ClassObject, "testing",
+            "probe <primitive: 12> ^#fallback");
+  EXPECT_EQ(T.evalString("^'abc' probe"), "fallback");
+  EXPECT_EQ(T.evalString("^nil probe"), "fallback");
+  EXPECT_EQ(T.evalString("^42 probe"), "42");
+}
+
+TEST_F(KernelTest, SmallIntegerPrintStringOverrideWins) {
+  // An Integer>>printOn: override no longer reaches a SmallInteger's
+  // printString, as in Squeak; a SmallInteger>>printString override does.
+  addMethod(T.vm(), T.om().known().ClassInteger, "printing",
+            "printOn: aStream aStream nextPutAll: 'int'");
+  EXPECT_EQ(T.evalString("^3 printString"), "3");
+  addMethod(T.vm(), T.om().known().ClassSmallInteger, "printing",
+            "printString ^'mine'");
+  EXPECT_EQ(T.evalString("^3 printString"), "mine");
+  VirtualMachine::EvalResult R = T.vm().evaluate("3 + 4");
+  ASSERT_TRUE(R.Ok) << R.Value;
+  EXPECT_EQ(R.Value, "mine");
+}
+
 TEST_F(KernelTest, IntegerOverflowIsAnError) {
   // No LargeIntegers in this kernel: overflow falls back to the Integer
   // method, which raises a clean error rather than wrapping.

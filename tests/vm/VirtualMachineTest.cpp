@@ -161,6 +161,54 @@ TEST(VirtualMachineTest, DriverRootsAreGcSafe) {
             "keepme");
 }
 
+TEST(VirtualMachineTest, ServedRequestShapesStayWithinTheirWorkBudget) {
+  // A shard answers every request through evaluate's `^(…) printString`
+  // wrapper, and SmallInteger>>printString is primitive 12, so printing
+  // the answer costs one send. Counts are exact on one interpreter; the
+  // bounds leave headroom over the measured 1/7, 19/116 and 11/62.
+  // Printing digit by digit in Smalltalk cost 53/488, 41/292 and 33/238.
+  TestVm T(VmConfig::multiprocessor(1));
+  // The counter's global sits in its home slot of Smalltalk's table, so
+  // its counts do not depend on how far its symbol's hash makes the
+  // lookup probe.
+  std::string C;
+  for (int I = 0; I < 100 && C.empty(); ++I) {
+    std::string K = "#C" + std::to_string(I);
+    T.eval("Smalltalk at: " + K + " put: 0");
+    if (T.evalBool("| t | t := Smalltalk instVarAt: 2. ^(t at: " + K +
+                   " identityHash \\\\ t size + 1) key == " + K))
+      C = K;
+  }
+  ASSERT_FALSE(C.empty());
+  struct Shape {
+    std::string Source;
+    uint64_t MaxSends, MaxBytecodes;
+  };
+  const Shape Shapes[] = {
+      {"3 + 4 * 123456", 2, 10},
+      {"Smalltalk at: " + C + " put: (Smalltalk at: " + C + ") + 1", 25,
+       130},
+      {"Smalltalk at: " + C, 15, 70},
+  };
+  Interpreter &Driver = T.vm().driver();
+  for (const Shape &S : Shapes) {
+    for (int Warm = 0; Warm < 3; ++Warm)
+      ASSERT_TRUE(T.vm().evaluate(S.Source).Ok) << S.Source;
+    uint64_t Sends = Driver.sendsExecuted();
+    uint64_t Bytecodes = Driver.bytecodesExecuted();
+    VirtualMachine::EvalResult R = T.vm().evaluate(S.Source);
+    ASSERT_TRUE(R.Ok) << S.Source << ": " << R.Value;
+    Sends = Driver.sendsExecuted() - Sends;
+    Bytecodes = Driver.bytecodesExecuted() - Bytecodes;
+    EXPECT_LE(Sends, S.MaxSends)
+        << S.Source << ": " << Sends << " sends, " << Bytecodes
+        << " bytecodes";
+    EXPECT_LE(Bytecodes, S.MaxBytecodes)
+        << S.Source << ": " << Sends << " sends, " << Bytecodes
+        << " bytecodes";
+  }
+}
+
 TEST(VirtualMachineTest, DoItsLeaveOldSpaceFlat) {
   // A doIt compiles into eden, so one that nothing references after it
   // returns dies at the next scavenge instead of tenuring.
