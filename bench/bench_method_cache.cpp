@@ -27,9 +27,11 @@ using namespace mst;
 
 namespace {
 
+// printOn: runs the Smalltalk digit loop; SmallInteger>>printString is
+// a primitive.
 const char *SendStorm =
     "| p | p := Point x: 1 y: 2. 1 to: %N% do: [:i | p printString. i "
-    "printString. p x. p y. (p + p) x]";
+    "printOn: (WriteStream on: (String new: 16)). p x. p y. (p + p) x]";
 
 std::string stormSource(int N) {
   std::string S = SendStorm;

@@ -35,10 +35,12 @@ TEST_P(ConfigMatrixTest, WorkloadIsPolicyInvariant) {
   TestVm T(C);
 
   // A mixed workload touching sends, contexts, allocation, and GC.
+  // printOn: runs the Smalltalk digit loop; SmallInteger>>printString is
+  // a primitive.
   EXPECT_EQ(T.evalInt(
-                "| c | c := OrderedCollection new. 1 to: 500 do: [:i | c "
-                "add: i printString]. ^c inject: 0 into: [:a :s | a + s "
-                "size]"),
+                "| c w | c := OrderedCollection new. 1 to: 500 do: [:i | w "
+                ":= WriteStream on: (String new: 16). i printOn: w. c add: "
+                "w contents]. ^c inject: 0 into: [:a :s | a + s size]"),
             9 * 1 + 90 * 2 + 401 * 3); // digit counts of 1..500
   EXPECT_EQ(T.evalInt("^12 factorial // 11 factorial"), 12);
   EXPECT_TRUE(T.vm().errors().empty());

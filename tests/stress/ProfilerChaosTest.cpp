@@ -77,15 +77,16 @@ TEST(ProfilerChaosTest, SamplerRacesSendReturnAcrossInterpreters) {
     T.vm().startInterpreters();
 
     // Three worker Processes hammer send/return, allocation, and the
-    // method cache while the sampler walks their slots.
+    // method cache while the sampler walks their slots. printOn: runs
+    // the Smalltalk digit loop; SmallInteger>>printString is a primitive.
     const int N = stressScale(8000, 1500);
     unsigned Sig = T.vm().createHostSignal();
     for (int P = 0; P < 3; ++P) {
       Oop Forked = T.vm().forkDoIt(
           "| s | s := 0. 1 to: " + std::to_string(N) +
               " do: [:i | s := s + (i \\\\ 7). (Array new: 4) size. "
-              "(3 + 4) printString]. nil hostSignal: " +
-              std::to_string(Sig),
+              "(3 + 4) printOn: (WriteStream on: (String new: 16))]. nil "
+              "hostSignal: " + std::to_string(Sig),
           5, "prof-spinner");
       ASSERT_FALSE(Forked.isNull());
     }

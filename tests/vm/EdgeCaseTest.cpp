@@ -87,10 +87,14 @@ TEST_F(EdgeCaseTest, ManyTemporariesLargeFrame) {
 TEST_F(EdgeCaseTest, ThisContextIsAContext) {
   EXPECT_TRUE(T.evalBool("^thisContext class == MethodContext"));
   // Pushing thisContext marks the frame escaped: it must not be recycled
-  // into a later activation while still referenced.
+  // into a later activation while still referenced. A recycled one would
+  // take the receiver of the next method activated, here in printOn:.
+  addMethod(T.vm(), T.om().known().ClassObject, "testing",
+            "escapedContext ^thisContext");
   EXPECT_TRUE(T.evalBool(
-      "| ctx | ctx := thisContext. 1 to: 100 do: [:i | i printString]. "
-      "^ctx class == MethodContext"));
+      "| ctx | ctx := #home escapedContext. 1 to: 100 do: [:i | i "
+      "printOn: (WriteStream on: (String new: 16))]. ^ctx class == "
+      "MethodContext and: [ctx receiver == #home]"));
 }
 
 TEST_F(EdgeCaseTest, ShallowCopySemantics) {
