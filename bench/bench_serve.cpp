@@ -188,7 +188,6 @@ int main(int argc, char **argv) {
   Config.Pool.Shards = Shards;
   Config.Pool.BaseImage = Flags.ImagePath;
   Config.Pool.DataDir = DataDir;
-  Config.Pool.Vm = VmConfig::multiprocessor(1);
   // Overload-control knob the phase-2 storm runs against. The queue
   // budget is far above phase 1's ~250 outstanding per shard, so the
   // headline numbers stay comparable across runs.

@@ -78,8 +78,9 @@
 #   coverage     Debug build with GCC --coverage, then all of Tier-1
 #                (every ctest case, quick and stress). A report, not a
 #                gate: for each src/ file it prints how many of the lines
-#                gcov counts Tier-1 never executed, and the functions it
-#                never entered (name:first line), read with gcov-12.
+#                gcov counts Tier-1 never executed, those lines as ranges
+#                (`42-45 56 81-82`), and the functions it never entered
+#                (name:first line), read with gcov-12.
 #                No threshold. Runs only when named: it is not part of the
 #                full matrix and CI does not run it. The report is also
 #                written to build-ci/coverage/coverage.txt.
@@ -444,20 +445,31 @@ for dirpath, _, names in os.walk(build):
                     funcs[key] = (funcs.get(key, False)
                                   or fn["execution_count"] > 0)
 
+def ranges(nums):
+    """'42-45 56 81-82' for [42, 43, 44, 45, 56, 81, 82]."""
+    out = []
+    for n in nums:
+        if out and out[-1][1] == n - 1:
+            out[-1][1] = n
+        else:
+            out.append([n, n])
+    return " ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in out)
+
 total = missed = 0
 for path in sorted({p for p, _ in lines}):
     run = [hit for (p, _), hit in lines.items() if p == path]
+    unrun = sorted(n for (p, n), hit in lines.items() if p == path and not hit)
     never = sorted((n, name) for (p, n, name), hit in funcs.items()
                    if p == path and not hit)
     total += len(run)
-    missed += run.count(False)
+    missed += len(unrun)
     # A name without its parameter list, and the line it starts on.
     names = "; ".join(
         re.split(r"\((?!anonymous namespace\))", name)[0]
         + (" (lambda)" if "{lambda" in name else "") + f":{n}"
         for n, name in never)
-    print(f"{path}: {run.count(False)} of {len(run)} lines unexecuted; "
-          f"functions never entered: {names or '-'}")
+    print(f"{path}: {len(unrun)} of {len(run)} lines unexecuted: "
+          f"{ranges(unrun) or '-'}; functions never entered: {names or '-'}")
 print(f"src/ total: {missed} of {total} lines unexecuted "
       f"({100.0 * missed / max(total, 1):.1f}%)")
 PYEOF

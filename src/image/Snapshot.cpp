@@ -310,30 +310,6 @@ std::string uniqueTmpName(const std::string &Path) {
          std::to_string(Seq.fetch_add(1, std::memory_order_relaxed) + 1);
 }
 
-/// fsyncs the directory containing \p Path so the rename itself is
-/// durable. \returns false with \p Error set on failure.
-bool fsyncDirectoryOf(const std::string &Path, std::string &Error) {
-  if (chaos::failPoint("io.dirfsync.fail")) {
-    Error = "fsync failed for directory of " + Path +
-            " (chaos io.dirfsync.fail)";
-    return false;
-  }
-  size_t Slash = Path.rfind('/');
-  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
-  if (Dir.empty())
-    Dir = "/";
-  int Fd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (Fd < 0) {
-    Error = "cannot open directory " + Dir + " for fsync: " + errnoText();
-    return false;
-  }
-  bool Ok = ::fsync(Fd) == 0;
-  if (!Ok)
-    Error = "fsync failed for directory " + Dir + ": " + errnoText();
-  ::close(Fd);
-  return Ok;
-}
-
 /// Slides the rotated generations up one slot: `<path>.N-1` → `<path>.N`,
 /// …, `<path>` → `<path>.1`. ENOENT at any rung is normal (fewer
 /// generations exist than the cap); other failures are ignored too —
@@ -957,6 +933,28 @@ bool Loader::materialize(std::string &Error) {
 }
 
 } // namespace
+
+bool mst::fsyncDirectoryOf(const std::string &Path, std::string &Error) {
+  if (chaos::failPoint("io.dirfsync.fail")) {
+    Error = "fsync failed for directory of " + Path +
+            " (chaos io.dirfsync.fail)";
+    return false;
+  }
+  size_t Slash = Path.rfind('/');
+  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
+  if (Dir.empty())
+    Dir = "/";
+  int Fd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (Fd < 0) {
+    Error = "cannot open directory " + Dir + " for fsync: " + errnoText();
+    return false;
+  }
+  bool Ok = ::fsync(Fd) == 0;
+  if (!Ok)
+    Error = "fsync failed for directory " + Dir + ": " + errnoText();
+  ::close(Fd);
+  return Ok;
+}
 
 bool mst::saveSnapshot(VirtualMachine &VM, const std::string &Path,
                        std::string &Error, const SnapshotOptions &Options) {

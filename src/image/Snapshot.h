@@ -146,6 +146,13 @@ bool loadSnapshotExact(VirtualMachine &VM, const std::string &Path,
                        SnapshotLoadFailure *Failure = nullptr,
                        SnapshotInfo *Info = nullptr);
 
+/// fsyncs the directory containing \p Path, so that a file created or
+/// renamed into it survives a power loss. Snapshot saves and the serving
+/// layer's request journal both commit through it. The
+/// `io.dirfsync.fail` chaos point fails it. \returns false with \p Error
+/// set on failure.
+bool fsyncDirectoryOf(const std::string &Path, std::string &Error);
+
 /// The canonical per-shard checkpoint path for the serving layer: shard
 /// \p Shard of a pool rooted at \p Dir checkpoints to
 /// `<Dir>/shard<NNN>.image` (zero-padded so a directory listing sorts).

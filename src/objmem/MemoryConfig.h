@@ -68,13 +68,10 @@ struct MemoryConfig {
   /// Old-space occupancy that arms the growth-threshold trigger: when a
   /// scavenge's tenuring pushes used old bytes past the current trigger, a
   /// full collection runs inside the same pause. After each full GC the
-  /// trigger is re-armed at max(threshold, live * growth factor), so a
-  /// genuinely growing live set does not thrash the collector.
+  /// trigger is re-armed at max(threshold, 1.5 x live bytes) (the
+  /// "tenure-pressure heuristic"), so a genuinely growing live set does
+  /// not thrash the collector.
   size_t FullGcThresholdBytes = 64u << 20;
-
-  /// Headroom factor applied to the post-GC live size when re-arming the
-  /// trigger (the "tenure-pressure heuristic").
-  double FullGcGrowthFactor = 1.5;
 
   /// Number of threads applied to one full collection (marking and
   /// sweeping both fan out). Clamped to 1 when MpSupport is off, since the

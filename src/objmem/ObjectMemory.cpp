@@ -406,10 +406,9 @@ void ObjectMemory::performFullGC() {
   LastLiveBytes.store(Collector.liveBytes(), std::memory_order_relaxed);
   Span.setArg(Collector.sweptBytes());
 
-  // Re-arm the trigger with headroom over the surviving live set so a
-  // legitimately growing heap does not collect on every scavenge.
-  double Headroom =
-      static_cast<double>(Old.used()) * Config.FullGcGrowthFactor;
+  // Re-arm the trigger at 1.5x the surviving live set, so a legitimately
+  // growing heap does not collect on every scavenge.
+  double Headroom = static_cast<double>(Old.used()) * 1.5;
   size_t Next = Config.FullGcThresholdBytes;
   if (Headroom > static_cast<double>(Next))
     Next = static_cast<size_t>(Headroom);

@@ -6,6 +6,7 @@
 
 #include "serve/Journal.h"
 
+#include "image/Snapshot.h"
 #include "support/Crc32.h"
 #include "vkernel/Chaos.h"
 
@@ -247,7 +248,6 @@ bool parseOutcome(const RawRecord &R, Journal::Entry &E) {
 } // namespace
 
 bool Journal::open(const std::string &P, std::string &Error) {
-  std::lock_guard<std::mutex> Lock(Mutex);
   if (Fd >= 0) {
     ::close(Fd);
     Fd = -1;
@@ -285,6 +285,11 @@ bool Journal::open(const std::string &P, std::string &Error) {
     if (::fsync(NewFd) != 0)
       return Fail(std::string("journal header fsync failed: ") +
                   std::strerror(errno));
+    // The file's name must survive a power loss too, or every record
+    // acknowledged from this file on could vanish with it.
+    std::string DirError;
+    if (!fsyncDirectoryOf(P, DirError))
+      return Fail("journal create failed: " + DirError);
     Base = 0;
     FileBytes = FileHeaderSize;
     NextRecordId = 1;
@@ -326,7 +331,6 @@ bool Journal::open(const std::string &P, std::string &Error) {
 }
 
 void Journal::close() {
-  std::lock_guard<std::mutex> Lock(Mutex);
   if (Fd >= 0) {
     ::close(Fd);
     Fd = -1;
@@ -373,7 +377,6 @@ bool Journal::appendRecord(uint8_t Kind, const std::vector<uint8_t> &Payload,
 bool Journal::appendIntent(uint64_t ClientId, uint64_t Seq, bool HasSeq,
                            const std::string &Source, uint64_t &RecordId,
                            std::string &Error) {
-  std::lock_guard<std::mutex> Lock(Mutex);
   std::vector<uint8_t> P;
   P.reserve(32 + Source.size());
   uint64_t Id = NextRecordId;
@@ -396,7 +399,6 @@ bool Journal::appendIntent(uint64_t ClientId, uint64_t Seq, bool HasSeq,
 bool Journal::appendOutcome(uint64_t RecordId, uint64_t ClientId, uint64_t Seq,
                             bool HasSeq, Outcome Out, bool Ok,
                             const std::string &Value, std::string &Error) {
-  std::lock_guard<std::mutex> Lock(Mutex);
   std::vector<uint8_t> P;
   P.reserve(32 + Value.size());
   putU64(P, RecordId);
@@ -412,7 +414,6 @@ bool Journal::appendOutcome(uint64_t RecordId, uint64_t ClientId, uint64_t Seq,
 }
 
 bool Journal::sync(std::string &Error) {
-  std::lock_guard<std::mutex> Lock(Mutex);
   if (Fd < 0) {
     Error = "journal not open";
     return false;
@@ -435,7 +436,6 @@ bool Journal::sync(std::string &Error) {
 
 bool Journal::scan(uint64_t FromPos, std::vector<Entry> &Out,
                    std::string &Error) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
   Out.clear();
   if (Fd < 0) {
     Error = "journal not open";
@@ -468,7 +468,6 @@ bool Journal::scan(uint64_t FromPos, std::vector<Entry> &Out,
 }
 
 bool Journal::truncateBelow(uint64_t Mark, std::string &Error) {
-  std::lock_guard<std::mutex> Lock(Mutex);
   if (Fd < 0) {
     Error = "journal not open";
     return false;
@@ -528,23 +527,28 @@ bool Journal::truncateBelow(uint64_t Mark, std::string &Error) {
   Base = Mark;
   FileBytes = FileHeaderSize + (FileBytes - CutOff);
   SyncedBytes = FileBytes;
+  // Until the directory is synced, a power loss can bring back the old
+  // file, without every record appended to the new one from here on. The
+  // switch above stands either way: the replaced file is gone.
+  std::string DirError;
+  if (!fsyncDirectoryOf(Path, DirError)) {
+    Error = "journal compacted, but " + DirError;
+    return false;
+  }
   return true;
 }
 
 uint64_t Journal::endPos() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
   if (Fd < 0)
     return 0;
   return Base + (FileBytes - FileHeaderSize);
 }
 
 uint64_t Journal::bytes() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
   return Fd < 0 ? 0 : FileBytes;
 }
 
 uint64_t Journal::tearTail(uint64_t MaxCut, uint64_t Salt) {
-  std::lock_guard<std::mutex> Lock(Mutex);
   if (Fd < 0 || FileBytes <= SyncedBytes)
     return 0;
   // Only the unsynced tail can tear: records below SyncedBytes survived
@@ -573,8 +577,7 @@ uint64_t Journal::tearTail(uint64_t MaxCut, uint64_t Salt) {
   return Cut;
 }
 
-bool DedupTable::lookup(uint64_t Client, uint64_t Seq, Response &R) {
-  std::lock_guard<std::mutex> Lock(Mutex);
+bool DedupTable::lookup(uint64_t Client, uint64_t Seq, Response &R) const {
   auto It = Clients.find(Client);
   if (It == Clients.end())
     return false;
@@ -586,7 +589,6 @@ bool DedupTable::lookup(uint64_t Client, uint64_t Seq, Response &R) {
 }
 
 void DedupTable::insert(uint64_t Client, uint64_t Seq, Response R) {
-  std::lock_guard<std::mutex> Lock(Mutex);
   auto It = Clients.find(Client);
   if (It == Clients.end()) {
     while (Clients.size() >= MaxClients && !ClientOrder.empty()) {
@@ -616,31 +618,6 @@ void DedupTable::insert(uint64_t Client, uint64_t Seq, Response R) {
     if (E.BySeq.erase(Old))
       --Entries;
   }
-}
-
-namespace {
-uint64_t flightKey(uint64_t Client, uint64_t Seq) {
-  // Mixed key rather than a pair-set: a client retiring seq S while
-  // another client is on the same S must not collide, and golden-ratio
-  // mixing of both words keeps accidental collisions vanishingly rare
-  // for the bounded window of pairs in flight at once.
-  return (Client * 0x9e3779b97f4a7c15ull) ^ (Seq + 0x632be59bd9b4e019ull);
-}
-} // namespace
-
-bool DedupTable::markInFlight(uint64_t Client, uint64_t Seq) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return InFlight.insert(flightKey(Client, Seq)).second;
-}
-
-void DedupTable::clearInFlight(uint64_t Client, uint64_t Seq) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  InFlight.erase(flightKey(Client, Seq));
-}
-
-size_t DedupTable::size() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Entries;
 }
 
 } // namespace serve

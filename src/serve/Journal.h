@@ -38,12 +38,21 @@
 /// manufactures such tails). Positions are *logical*: the file header
 /// carries a base offset, so compaction preserves every surviving
 /// record's position and checkpoint marks stay valid across truncations.
+/// Creating a journal and compacting one both fsync the directory after
+/// the file, as snapshot saves do, so the file's name survives a power
+/// loss along with its records.
 ///
 /// The DedupTable is the client-visible half of exactly-once: bound
 /// sessions (`!session ID`) stamp an explicit `?seq=N` on evaluations;
 /// completed (ClientId, Seq) responses are cached in a bounded table so a
 /// retry after a dropped connection is answered from the cache instead of
-/// re-executed (`serve.dedup.hits`).
+/// re-executed (`serve.dedup.hits`). It holds completed requests only: a
+/// resend racing its original is caught by the shard, within the batch
+/// that holds both.
+///
+/// Each shard's Journal and DedupTable belong to its thread alone, as the
+/// paper gives each interpreter its own copy of what it uses all the
+/// time; neither takes a lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,15 +62,15 @@
 #include <cstdint>
 #include <deque>
 #include <list>
-#include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace mst {
 namespace serve {
 
+/// One shard's journal. Not thread-safe: one thread owns it (the shard
+/// thread, once Shard::start has opened it), and no lock is taken.
 class Journal {
 public:
   /// How a journaled request resolved. Replay dispatches on this.
@@ -96,9 +105,10 @@ public:
   /// Opens (creating if absent) the journal at \p Path, scanning every
   /// record: a torn or corrupt tail is truncated back to the last whole
   /// record (counted in tornRepairs()). Records are read one at a time,
-  /// so memory is bounded by the largest record, not the file.
-  /// \returns false with \p Error set when the file cannot be opened or
-  /// its header is unusable.
+  /// so memory is bounded by the largest record, not the file. A journal
+  /// it creates is fsynced, then its directory.
+  /// \returns false with \p Error set when the file cannot be opened,
+  /// its header is unusable, or a new file's directory fsync fails.
   bool open(const std::string &Path, std::string &Error);
 
   void close();
@@ -134,14 +144,15 @@ public:
             std::string &Error) const;
 
   /// Compacts away every record below logical position \p Mark via the
-  /// snapshot write protocol (unique tmp + fsync + rename; a crash
-  /// leaves either the old or the new file). Positions are preserved:
-  /// the new file's base is \p Mark. The kept tail is copied through one
-  /// fixed-size buffer, so memory does not grow with the file. Call only
-  /// after the checkpoint covering \p Mark has committed (its rename
-  /// landed), and only from the shard thread, the journal's one writer.
-  /// The `journal.truncate.fail` chaos point fails it; the journal then
-  /// just stays longer — replay remains correct.
+  /// snapshot write protocol (tmp + fsync + rename + directory fsync; a
+  /// crash leaves either the old or the new file). Positions are
+  /// preserved: the new file's base is \p Mark. The kept tail is copied
+  /// through one fixed-size buffer, so memory does not grow with the
+  /// file. Call only after the checkpoint covering \p Mark has committed
+  /// (its rename landed). The `journal.truncate.fail` chaos point fails
+  /// it; the journal then just stays longer — replay remains correct. A
+  /// directory fsync that fails is reported after the journal has
+  /// switched to the new file, so appends never go to the replaced one.
   bool truncateBelow(uint64_t Mark, std::string &Error);
 
   /// Logical end position: Base + bytes appended since. The checkpoint
@@ -165,7 +176,6 @@ private:
   bool appendRecord(uint8_t Kind, const std::vector<uint8_t> &Payload,
                     std::string &Error);
 
-  mutable std::mutex Mutex;
   std::string Path;
   int Fd = -1;
   uint64_t Base = 0;       ///< logical position of physical offset 0 past header
@@ -179,8 +189,8 @@ private:
 /// Bounded per-client response cache keyed (ClientId, Seq): the serving
 /// layer's exactly-once memory. Oldest entries per client and oldest
 /// clients overall are evicted FIFO, so a runaway client cannot grow it
-/// without bound. Also tracks in-flight (ClientId, Seq) pairs so a retry
-/// racing its original is refused instead of double-journaled.
+/// without bound. Not thread-safe: one thread owns it (its shard's), and
+/// no lock is taken.
 class DedupTable {
 public:
   struct Response {
@@ -194,18 +204,13 @@ public:
 
   /// \returns true and fills \p R when (Client, Seq) has a cached
   /// response.
-  bool lookup(uint64_t Client, uint64_t Seq, Response &R);
+  bool lookup(uint64_t Client, uint64_t Seq, Response &R) const;
 
   /// Caches the response for (Client, Seq), evicting per the bounds.
   void insert(uint64_t Client, uint64_t Seq, Response R);
 
-  /// \returns false when the pair is already in flight (the caller must
-  /// refuse the duplicate).
-  bool markInFlight(uint64_t Client, uint64_t Seq);
-  void clearInFlight(uint64_t Client, uint64_t Seq);
-
   /// Cached responses across all clients (health reporting).
-  size_t size();
+  size_t size() const { return Entries; }
 
 private:
   struct ClientEntry {
@@ -213,13 +218,11 @@ private:
     std::deque<uint64_t> Order; ///< insertion order for per-client FIFO
   };
 
-  std::mutex Mutex;
   size_t MaxClients;
   size_t MaxPerClient;
   size_t Entries = 0;
   std::unordered_map<uint64_t, ClientEntry> Clients;
   std::list<uint64_t> ClientOrder; ///< client insertion order (FIFO)
-  std::unordered_set<uint64_t> InFlight; ///< flightKey(Client, Seq) — see .cpp
 };
 
 } // namespace serve

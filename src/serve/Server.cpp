@@ -25,6 +25,9 @@ using namespace mst;
 using namespace mst::serve;
 
 namespace {
+/// Longest request line accepted before the session is dropped.
+constexpr size_t MaxLine = 64 * 1024;
+
 // Same clock the shards stamp completions with — serve.latency is the
 // difference, so the two sides must share an epoch.
 uint64_t nowNs() { return Telemetry::nowNs(); }
@@ -49,7 +52,7 @@ bool Server::start(std::string &Error) {
     }
     wake();
   });
-  if (!Pool->start(Config.ReadyTimeoutSec, Error)) {
+  if (!Pool->start(Error)) {
     Pool->stop();
     return false;
   }
@@ -280,7 +283,7 @@ void Server::readSession(Session &S) {
     ssize_t N = read(S.Fd, Buf, sizeof Buf);
     if (N > 0) {
       S.In.append(Buf, static_cast<size_t>(N));
-      if (N == static_cast<ssize_t>(sizeof Buf) && S.In.size() < Config.MaxLine)
+      if (N == static_cast<ssize_t>(sizeof Buf) && S.In.size() < MaxLine)
         continue;
     } else if (N == 0) {
       closeSession(S.Id);
@@ -298,7 +301,7 @@ void Server::parseBuffered(Session &S) {
   std::string Line;
   bool TooLong = false;
   while (!S.CloseAfterFlush && !S.Paused &&
-         nextLine(S.In, Line, Config.MaxLine, TooLong))
+         nextLine(S.In, Line, MaxLine, TooLong))
     handleLine(S, Line);
   if (TooLong) {
     S.Out += formatResponse(false, "", "request line too long");

@@ -49,14 +49,10 @@ struct ServerConfig {
   /// read it back with port().
   uint16_t Port = 0;
   PoolConfig Pool;
-  /// Longest request line accepted before the session is dropped.
-  size_t MaxLine = 64 * 1024;
   /// Outstanding requests per session before its reads are parked.
   size_t MaxPipeline = 1024;
   /// Force-close deadline for a graceful drain.
   double DrainTimeoutSec = 30.0;
-  /// How long to wait for the shard VMs to boot.
-  double ReadyTimeoutSec = 300.0;
   /// Default per-request deadline stamped on evaluations that carry no
   /// `?deadline=MS` of their own; 0 = no default (runaways wedge their
   /// shard, as before).

@@ -20,8 +20,23 @@ using namespace mst;
 using namespace mst::serve;
 
 namespace {
+/// Requests a shard takes from its batcher at once.
+constexpr size_t MaxBatch = 256;
+
 bool fileExists(const std::string &Path) {
   return !Path.empty() && ::access(Path.c_str(), F_OK) == 0;
+}
+
+/// Whether a request ahead of B[I] in its batch journaled the same
+/// (ClientId, ClientSeq) pair. A batch holds at most MaxBatch requests,
+/// so the scan stays short.
+bool journaledAhead(const Batch &B, size_t I) {
+  const QueuedRequest &Q = B[I];
+  for (size_t J = 0; J < I; ++J)
+    if (B[J].JournalId != 0 && B[J].HasSeq && B[J].ClientId == Q.ClientId &&
+        B[J].ClientSeq == Q.ClientSeq)
+      return true;
+  return false;
 }
 } // namespace
 
@@ -82,15 +97,19 @@ Shard::Health Shard::health() {
     H.OldestQueuedMs = Now > Oldest ? (Now - Oldest) / 1000000 : 0;
   }
   H.DeadlineExpired = Stats.DeadlineExpired.value();
-  if (Jrnl)
-    H.JournalBytes = Jrnl->bytes();
+  H.JournalBytes = JournalBytes.load(std::memory_order_relaxed);
   H.Replayed = Stats.Replayed.value();
-  H.DedupSize = Dedup.size();
+  H.DedupSize = DedupSize.load(std::memory_order_relaxed);
   H.DedupHits = Stats.DedupHits.value();
   std::lock_guard<std::mutex> G(StateMutex);
   H.State = State;
   H.LastError = LastError;
   return H;
+}
+
+void Shard::publishJournalCounts() {
+  JournalBytes.store(Jrnl ? Jrnl->bytes() : 0, std::memory_order_relaxed);
+  DedupSize.store(Dedup.size(), std::memory_order_relaxed);
 }
 
 void Shard::setState(const char *S) {
@@ -112,7 +131,7 @@ void Shard::bootVm() {
   auto Fresh = [this] {
     Ck.reset();
     VM.reset();
-    VM = std::make_unique<VirtualMachine>(Config.Vm);
+    VM = std::make_unique<VirtualMachine>(VmConfig::multiprocessor(1));
   };
   Fresh();
   bool Booted = false;
@@ -158,7 +177,7 @@ void Shard::bootVm() {
   // Rename this thread's profiler slot so state breakdowns attribute
   // samples per shard rather than to one merged "driver".
   Profiler::registerThread("shard" + std::to_string(Config.Index),
-                           static_cast<int>(Config.Vm.Interpreters));
+                           static_cast<int>(VM->config().Interpreters));
 
   if (!Config.CheckpointPath.empty()) {
     // No periodic thread (EveryMs stays 0): a checkpoint taken from one
@@ -176,6 +195,7 @@ void Shard::bootVm() {
   if (Config.CheckpointEveryMs > 0 && NextAutoCkNs == 0)
     NextAutoCkNs =
         Telemetry::nowNs() + Config.CheckpointEveryMs * 1000000;
+  publishJournalCounts();
   Generation.fetch_add(1, std::memory_order_relaxed);
   setState("serving");
 }
@@ -329,7 +349,6 @@ void Shard::shardMain() {
   }
   ReadyCv.notify_all();
 
-  constexpr size_t MaxBatch = 256;
   for (;;) {
     Batch B;
     {
@@ -356,6 +375,9 @@ void Shard::shardMain() {
       Stats.Latency.record(Now - Q.EnqueueNs);
     if (journaled())
       finishBatchJournal(B);
+    // Before the answers leave: a client holding its `!checkpoint`
+    // answer must see the compacted journal in `!health`.
+    publishJournalCounts();
     Sink(std::move(B));
     // Between batches no request is half done, and the journal is
     // quiescent, so the recorded mark covers exactly what the image
@@ -375,7 +397,8 @@ void Shard::shardMain() {
 
 void Shard::prepareBatchJournal(Batch &B) {
   bool Appended = false;
-  for (QueuedRequest &Q : B) {
+  for (size_t I = 0; I < B.size(); ++I) {
+    QueuedRequest &Q = B[I];
     if (Q.Kind != Request::Kind::Eval || Q.Done)
       continue;
     if (Q.HasSeq) {
@@ -393,9 +416,12 @@ void Shard::prepareBatchJournal(Batch &B) {
           Stats.Errors.add();
         continue;
       }
-      if (!Dedup.markInFlight(Q.ClientId, Q.ClientSeq)) {
-        // The original is still somewhere between journal and response;
-        // executing the resend too would double-apply it.
+      if (journaledAhead(B, I)) {
+        // The original is journaled earlier in this batch and has not
+        // run yet; executing the resend too would double-apply it. An
+        // original from an earlier batch has finished (the client is
+        // pinned to this shard), so lookup() answered the resend above,
+        // or the original never ran and the resend should.
         Q.Done = true;
         Q.Ok = false;
         Q.Value = "overloaded: request seq " +
@@ -413,8 +439,6 @@ void Shard::prepareBatchJournal(Batch &B) {
       // without executing, so the no-acknowledged-loss invariant never
       // depends on an unjournaled execution.
       Stats.JournalAppendFailures.add();
-      if (Q.HasSeq)
-        Dedup.clearInFlight(Q.ClientId, Q.ClientSeq);
       Q.Done = true;
       Q.Ok = false;
       Q.Value = "journal append failed; request not executed: " + Err;
@@ -433,7 +457,6 @@ void Shard::finishBatchJournal(Batch &B) {
   for (QueuedRequest &Q : B) {
     if (Q.JournalId == 0 || !Q.HasSeq)
       continue;
-    Dedup.clearInFlight(Q.ClientId, Q.ClientSeq);
     auto Out = static_cast<Journal::Outcome>(Q.JournalOutcome);
     if (Out == Journal::Outcome::Executed ||
         Out == Journal::Outcome::TimedOut) {
@@ -564,8 +587,10 @@ bool Shard::checkpoint(std::string &Err) {
   }
   Stats.Checkpoints.add();
   Unsaved = false;
-  if (Mark)
+  if (Mark) {
     commitJournalTruncate(*Mark);
+    publishJournalCounts();
+  }
   return true;
 }
 

@@ -104,7 +104,6 @@ struct ShardConfig {
   /// Per-request deadline for replayed intents whose outcome record was
   /// lost — bounds how long a torn-tail runaway can wedge a reboot.
   uint64_t ReplayDeadlineMs = 5000;
-  VmConfig Vm = VmConfig::multiprocessor(1);
 };
 
 class Shard {
@@ -179,11 +178,11 @@ private:
 
   // --- write-ahead journal plumbing (no-ops when JournalPath is empty) ---
   bool journaled() const { return Jrnl != nullptr; }
-  /// Before a batch executes: answer dedup hits, refuse in-flight
-  /// duplicates, append + fsync intent records for everything else.
+  /// Before a batch executes: answer dedup hits, refuse a (client, seq)
+  /// pair that an earlier request of the batch journaled, append + fsync
+  /// intent records for everything else.
   void prepareBatchJournal(Batch &B);
-  /// After a batch executes: clear in-flight marks and cache completed
-  /// (client, seq) responses.
+  /// After a batch executes: cache completed (client, seq) responses.
   void finishBatchJournal(Batch &B);
   /// Record how \p Q resolved (also remembered in Q.JournalOutcome for
   /// finishBatchJournal's dedup insert).
@@ -203,6 +202,8 @@ private:
   /// After a successful checkpoint rename covering \p Mark: compact the
   /// journal below the oldest retained generation's mark.
   void commitJournalTruncate(uint64_t Mark);
+  /// Stores the journal size and dedup size for health(); shard thread.
+  void publishJournalCounts();
 
   /// Every checkpoint this shard takes; shard thread, between requests,
   /// Ck set. Syncs the journal and stamps its end as the image's mark.
@@ -226,11 +227,15 @@ private:
   std::unique_ptr<VirtualMachine> VM;
   std::unique_ptr<Checkpointer> Ck;
 
-  /// Write-ahead journal (null when disabled). Opened in start() before
-  /// the shard thread runs; after that only the shard thread writes it,
-  /// and health() only reads counters through the journal's own mutex.
+  /// Write-ahead journal (null when disabled) and dedup table. start()
+  /// opens the journal before the shard thread runs; after that only the
+  /// shard thread calls either, so neither takes a lock. health() reads
+  /// their sizes from JournalBytes and DedupSize instead.
   std::unique_ptr<Journal> Jrnl;
   DedupTable Dedup;
+  /// Published by publishJournalCounts(); read by health() on any thread.
+  std::atomic<uint64_t> JournalBytes{0};
+  std::atomic<uint64_t> DedupSize{0};
   /// A non-Executed outcome was appended since the last sync; shard
   /// thread only.
   bool RefusalPending = false;

@@ -11,6 +11,11 @@
 using namespace mst;
 using namespace mst::serve;
 
+namespace {
+/// How long start() waits for each shard's VM to boot.
+constexpr double BootTimeoutSec = 300.0;
+} // namespace
+
 ShardPool::ShardPool(const PoolConfig &Config, Shard::ResponseSink Sink) {
   unsigned N = Config.Shards ? Config.Shards : 1;
   Shards.reserve(N);
@@ -28,7 +33,6 @@ ShardPool::ShardPool(const PoolConfig &Config, Shard::ResponseSink Sink) {
     C.ReplayDeadlineMs = Config.ReplayDeadlineMs;
     C.KeepGenerations = Config.KeepGenerations;
     C.CheckpointEveryMs = Config.CheckpointEveryMs;
-    C.Vm = Config.Vm;
     Shards.push_back(std::make_unique<Shard>(C, Sink));
   }
   QueueDepth = std::make_unique<Gauge>("serve.queue.depth", [this] {
@@ -39,14 +43,14 @@ ShardPool::ShardPool(const PoolConfig &Config, Shard::ResponseSink Sink) {
   });
 }
 
-bool ShardPool::start(double ReadyTimeoutSec, std::string &Error) {
+bool ShardPool::start(std::string &Error) {
   for (auto &S : Shards)
     S->start();
   for (auto &S : Shards) {
-    if (!S->waitReady(ReadyTimeoutSec)) {
+    if (!S->waitReady(BootTimeoutSec)) {
       Error = "shard " + std::to_string(S->index()) +
               " failed to become ready within " +
-              std::to_string(ReadyTimeoutSec) + "s";
+              std::to_string(BootTimeoutSec) + "s";
       return false;
     }
   }

@@ -42,7 +42,6 @@ struct PoolConfig {
   bool Journal = false;
   /// Per-request deadline during journal replay.
   uint64_t ReplayDeadlineMs = 5000;
-  VmConfig Vm = VmConfig::multiprocessor(1);
 };
 
 class ShardPool {
@@ -51,7 +50,7 @@ public:
 
   /// Boots every shard (concurrently; each shard thread loads its own
   /// image). \returns false if any shard failed to come up in time.
-  bool start(double ReadyTimeoutSec, std::string &Error);
+  bool start(std::string &Error);
 
   /// Drains and stops every shard (each takes a final checkpoint).
   void stop();
@@ -63,8 +62,9 @@ public:
     return static_cast<unsigned>(SessionId % Shards.size());
   }
 
-  /// Routes \p R to its session's shard (or, for Kill/Checkpoint control
-  /// requests, to \p Explicit). \returns false when stopping.
+  /// Routes \p R to shard \p ShardIndex: its session's shard, or the
+  /// target of a Kill/Checkpoint control request. \returns false when
+  /// stopping.
   bool submit(unsigned ShardIndex, QueuedRequest R) {
     return Shards[ShardIndex]->submit(std::move(R));
   }

@@ -511,12 +511,12 @@ void Interpreter::vmError(const std::string &Msg) {
 /// --- the bytecode loop ------------------------------------------------
 
 namespace {
-/// Set MST_TRACE=1 in the environment to stream executed bytecodes to
-/// stderr (driver + workers; slow, debugging only).
-bool traceEnabled() {
-  static bool Enabled = std::getenv("MST_TRACE") != nullptr;
-  return Enabled;
-}
+/// Bytecodes per scheduling slice.
+constexpr uint64_t SliceBytecodes = 10000;
+/// Processor-time cap per slice (microseconds): preempts Processes that
+/// spend their slice inside long-running primitives (compiler,
+/// decompiler), the way the timer interrupt did on real hardware.
+constexpr uint64_t SliceMicros = 2000;
 } // namespace
 
 RunResult Interpreter::interpretSlice(uint64_t MaxBytecodes) {
@@ -524,20 +524,12 @@ RunResult Interpreter::interpretSlice(uint64_t MaxBytecodes) {
   Safepoint &Sp = OM.safepoint();
   uint64_t Executed = 0;
   // Time-based preemption: a Process that buries its slice inside long
-  // primitives still yields within TimesliceMicros of processor time
+  // primitives still yields within SliceMicros of processor time
   // (the timer interrupt of real hardware). Only armed for real slices.
   const bool TimedSlice = MaxBytecodes != UINT64_MAX;
-  const uint64_t SliceBudgetUs = VM.config().TimesliceMicros;
   const uint64_t SliceStartUs = TimedSlice ? threadCpuMicros() : 0;
 
   for (;;) {
-    if (traceEnabled()) {
-      Oop Sel = ObjectMemory::fetchPointer(CurMethod, MthSelector);
-      std::fprintf(stderr, "[i%u] %s sp=%ld %s\n", Id,
-                   ObjectModel::stringValue(Sel).c_str(),
-                   static_cast<long>(SpVal),
-                   disassembleOne(Code, Ip).c_str());
-    }
     if (Sp.pollNeeded()) {
       writeBackIp();
       Sp.pollSlow();
@@ -558,7 +550,7 @@ RunResult Interpreter::interpretSlice(uint64_t MaxBytecodes) {
       if (expireDeadline())
         return RunResult::Terminated;
       if (TimedSlice &&
-          threadCpuMicros() - SliceStartUs > SliceBudgetUs) {
+          threadCpuMicros() - SliceStartUs > SliceMicros) {
         writeBackIp();
         return RunResult::Yielded;
       }
@@ -740,7 +732,7 @@ void Interpreter::runLoop() {
 
     Finished = Errored = FlagBlocked = FlagYield = false;
     uint64_t CpuBefore = threadCpuMicros();
-    RunResult R = interpretSlice(VM.config().TimesliceBytecodes);
+    RunResult R = interpretSlice(SliceBytecodes);
 
     // The process oop may have moved during the slice; use the root.
     Oop Proc = Roots.ActiveProcess;

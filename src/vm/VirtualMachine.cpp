@@ -21,7 +21,6 @@ using namespace mst;
 VmConfig VmConfig::baselineBS() {
   VmConfig C;
   C.Interpreters = 1;
-  C.MpSupport = false;
   C.CacheKind = MethodCacheKind::Replicated;
   C.FreeCtxKind = FreeContextKind::Replicated;
   C.Memory.MpSupport = false;
@@ -31,35 +30,25 @@ VmConfig VmConfig::baselineBS() {
 VmConfig VmConfig::multiprocessor(unsigned K) {
   VmConfig C;
   C.Interpreters = K;
-  C.MpSupport = true;
   C.CacheKind = MethodCacheKind::Replicated;
   C.FreeCtxKind = FreeContextKind::Replicated;
   C.Memory.MpSupport = true;
   return C;
 }
 
-namespace {
-MemoryConfig withMpSupport(MemoryConfig M, bool Mp) {
-  M.MpSupport = Mp;
-  return M;
-}
-} // namespace
-
 VirtualMachine::VirtualMachine(const VmConfig &Config)
-    : Config(Config),
-      OM(std::make_unique<ObjectMemory>(
-          withMpSupport(Config.Memory, Config.MpSupport))),
-      Om(std::make_unique<ObjectModel>(*OM)), Disp(Config.MpSupport),
-      Events(Config.MpSupport), Kernel(Config.Processors) {
+    : Config(Config), OM(std::make_unique<ObjectMemory>(Config.Memory)),
+      Om(std::make_unique<ObjectModel>(*OM)), Disp(Config.Memory.MpSupport),
+      Events(Config.Memory.MpSupport), Kernel(Processors) {
   OM->registerMutator("driver");
   Profiler::registerThread("driver", static_cast<int>(Config.Interpreters));
   Om->initCore();
 
   Sched = std::make_unique<Scheduler>(*Om, OM->safepoint());
   Cache = std::make_unique<MethodCache>(
-      Config.CacheKind, Config.Interpreters + 1, Config.MpSupport);
+      Config.CacheKind, Config.Interpreters + 1, Config.Memory.MpSupport);
   CtxPool = std::make_unique<FreeContextPool>(
-      Config.FreeCtxKind, Config.Interpreters + 1, Config.MpSupport);
+      Config.FreeCtxKind, Config.Interpreters + 1, Config.Memory.MpSupport);
 
   // Scavenge hooks: caches hold oops of (young, movable) objects; free
   // context lists hold dead objects. Both must empty before objects move.

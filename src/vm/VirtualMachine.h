@@ -14,7 +14,7 @@
 ///   replication:   interpreters, method caches, free contexts, (TLABs)
 ///   reorganization: activeProcess / canRun: / thisProcess
 ///
-/// `MpSupport = false` with one interpreter is "baseline BS" — the
+/// `Memory.MpSupport = false` with one interpreter is "baseline BS" — the
 /// interpreter ported to the Firefly *before* any multiprocessor support,
 /// the reference point of Table 2.
 ///
@@ -48,19 +48,11 @@ namespace mst {
 struct VmConfig {
   /// Number of worker interpreter processes (the Firefly ran up to 5).
   unsigned Interpreters = 1;
-  /// Virtual processors in the V kernel.
-  unsigned Processors = 5;
-  /// Master switch for every lock in the system; false = baseline BS.
-  bool MpSupport = true;
   MethodCacheKind CacheKind = MethodCacheKind::Replicated;
   FreeContextKind FreeCtxKind = FreeContextKind::Replicated;
+  /// Memory.MpSupport is the master switch for every lock in the system;
+  /// false = baseline BS.
   MemoryConfig Memory;
-  /// Bytecodes per scheduling slice.
-  uint64_t TimesliceBytecodes = 10000;
-  /// Processor-time cap per slice (microseconds): preempts Processes that
-  /// spend their slice inside long-running primitives (compiler,
-  /// decompiler), the way the timer interrupt did on real hardware.
-  uint64_t TimesliceMicros = 2000;
 
   /// Canonical "baseline BS" configuration (Table 2, row 1).
   static VmConfig baselineBS();
@@ -83,6 +75,9 @@ public:
   VirtualMachine &operator=(const VirtualMachine &) = delete;
 
   const VmConfig &config() const { return Config; }
+
+  /// Virtual processors in the V kernel (the Firefly had 5).
+  static constexpr unsigned Processors = 5;
 
   ObjectMemory &memory() { return *OM; }
   ObjectModel &model() { return *Om; }

@@ -82,7 +82,7 @@ TEST(LayersTest, ProcessAndInterpreterRelationships) {
   // "Execution process is ... lightweight process": one V process per
   // interpreter, statically assigned to the kernel's processors.
   EXPECT_EQ(T.vm().kernel().numProcesses(), 3u);
-  EXPECT_EQ(T.vm().kernel().numProcessors(), C.Processors);
+  EXPECT_EQ(T.vm().kernel().numProcessors(), VirtualMachine::Processors);
 
   // "Compiled code consists of byte code ... resides in object memory":
   // a CompiledMethod's bytecodes are an image-level ByteArray.

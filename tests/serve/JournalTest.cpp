@@ -7,9 +7,10 @@
 /// \file
 /// Unit tests for the per-shard write-ahead request journal: record
 /// framing and round trips, torn-tail repair on reopen, logical-position
-/// preservation across truncateBelow() compaction, the tearTail() chaos
-/// hook, the cut-back of a write that fails part-way, memory that stays
-/// bounded on a large journal, and the bounded DedupTable.
+/// preservation across truncateBelow() compaction, the directory fsync
+/// of creation and compaction, the tearTail() chaos hook, the cut-back
+/// of a write that fails part-way, memory that stays bounded on a large
+/// journal, and the bounded DedupTable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,7 @@
 #include "MemoryProbe.h"
 #include "serve/Journal.h"
 #include "serve/ServeTestUtil.h"
+#include "vkernel/Chaos.h"
 
 using namespace mst;
 using namespace mst::serve;
@@ -199,6 +201,59 @@ TEST(JournalTest, TruncateBelowPreservesLogicalPositions) {
   EXPECT_TRUE(J2.truncateBelow(0, Error));
 }
 
+// Creating a journal and compacting one rename or create a file, so both
+// fsync its directory, as snapshot saves do: otherwise a power loss can
+// bring back the replaced journal, or no journal, and with it lose every
+// record acknowledged since.
+TEST(JournalTest, CreationAndCompactionFsyncTheDirectory) {
+  std::string Dir = makeTempDir();
+  std::string Path = Dir + "/shard.journal";
+  std::string Error;
+  Journal J;
+  ASSERT_TRUE(J.open(Path, Error)) << Error;
+  uint64_t Ids[3];
+  for (int I = 0; I < 3; ++I)
+    ASSERT_TRUE(J.appendIntent(1, static_cast<uint64_t>(I), true,
+                               "src" + std::to_string(I), Ids[I], Error));
+  ASSERT_TRUE(J.sync(Error)) << Error;
+  std::vector<Journal::Entry> All = mustScan(J, 0);
+  ASSERT_EQ(All.size(), 3u);
+
+  chaos::armFail("io.dirfsync.fail", 1000, 7);
+  // The rename has landed when the directory fsync fails: the failure is
+  // reported, and the journal has already switched to the new file.
+  EXPECT_FALSE(J.truncateBelow(All[1].Pos, Error));
+  EXPECT_NE(Error.find("io.dirfsync.fail"), std::string::npos) << Error;
+  EXPECT_EQ(chaos::failCount("io.dirfsync.fail"), 1u);
+  // A new journal whose directory cannot be synced does not open.
+  Journal Fresh;
+  EXPECT_FALSE(Fresh.open(Dir + "/fresh.journal", Error));
+  EXPECT_EQ(chaos::failCount("io.dirfsync.fail"), 2u);
+  chaos::disarmFail();
+
+  uint64_t Id = 0;
+  ASSERT_TRUE(J.appendIntent(1, 9, true, "after", Id, Error)) << Error;
+  ASSERT_TRUE(J.sync(Error)) << Error;
+  std::vector<Journal::Entry> Kept = mustScan(J, 0);
+  ASSERT_EQ(Kept.size(), 3u);
+  EXPECT_EQ(Kept[0].RecordId, Ids[1]);
+  EXPECT_EQ(Kept[0].Pos, All[1].Pos);
+  EXPECT_EQ(Kept[1].RecordId, Ids[2]);
+  EXPECT_EQ(Kept[1].Pos, All[2].Pos);
+  EXPECT_EQ(Kept[2].Source, "after");
+
+  J.close();
+  Journal Re;
+  ASSERT_TRUE(Re.open(Path, Error)) << Error;
+  std::vector<Journal::Entry> Again = mustScan(Re, 0);
+  ASSERT_EQ(Again.size(), Kept.size());
+  for (size_t I = 0; I < Kept.size(); ++I) {
+    EXPECT_EQ(Again[I].RecordId, Kept[I].RecordId);
+    EXPECT_EQ(Again[I].Pos, Kept[I].Pos);
+  }
+  std::filesystem::remove_all(Dir);
+}
+
 TEST(JournalTest, TearTailOnlyCutsUnsyncedBytesAndSelfRepairs) {
   std::string Path = makeTempDir() + "/shard.journal";
   std::string Error;
@@ -363,7 +418,7 @@ TEST(JournalTest, OpenScanAndCompactionHoldBoundedMemory) {
   std::filesystem::remove_all(Dir);
 }
 
-TEST(JournalTest, DedupTableCachesBoundsAndTracksInFlight) {
+TEST(JournalTest, DedupTableCachesAndBoundsResponses) {
   DedupTable D(/*MaxClients=*/2, /*MaxPerClient=*/3);
   DedupTable::Response R;
 
@@ -393,13 +448,6 @@ TEST(JournalTest, DedupTableCachesBoundsAndTracksInFlight) {
   EXPECT_FALSE(D.lookup(1, 4, R)) << "oldest client must be evicted";
   EXPECT_TRUE(D.lookup(2, 1, R));
   EXPECT_TRUE(D.lookup(3, 1, R));
-
-  // In-flight tracking: second mark refused until cleared.
-  EXPECT_TRUE(D.markInFlight(9, 1));
-  EXPECT_FALSE(D.markInFlight(9, 1));
-  EXPECT_TRUE(D.markInFlight(9, 2)); // distinct seq unaffected
-  D.clearInFlight(9, 1);
-  EXPECT_TRUE(D.markInFlight(9, 1));
 }
 
 } // namespace

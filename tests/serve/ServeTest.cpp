@@ -12,6 +12,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -318,6 +321,93 @@ TEST_F(ServeTest, ProtocolErrorsAnswerWithoutKillingTheServer) {
   ASSERT_TRUE(C.eval("41 + 1", Ok, Value));
   EXPECT_TRUE(Ok);
   EXPECT_EQ(Value, "42");
+}
+
+// --- Session rules: pipeline cap, line limit, rebinding ------------------
+
+TEST(ServeSession, PipelineCapParksReadsAndResumesInOrder) {
+  std::string DataDir = makeTempDir();
+  ServerConfig Config = testServerConfig(1, DataDir);
+  Config.MaxPipeline = 4;
+  Server S(std::move(Config));
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+
+  // Sixteen lines in one write: the session stops parsing at four
+  // outstanding and resumes from its buffer as the answers drain, since
+  // the client has nothing more to send.
+  Client C;
+  ASSERT_TRUE(C.connect(S.port()));
+  const int N = 16;
+  std::string Lines;
+  for (int I = 0; I < N; ++I)
+    Lines += (I ? "\n@r" : "@r") + std::to_string(I) + " " +
+             std::to_string(I) + " * 2";
+  ASSERT_TRUE(C.sendLine(Lines));
+  for (int I = 0; I < N; ++I) {
+    std::string Line, Tag, Value;
+    bool Ok = false;
+    ASSERT_TRUE(C.recvLine(Line, 120.0)) << "no answer for @r" << I;
+    ASSERT_TRUE(parseResponseLine(Line, Ok, Tag, Value));
+    EXPECT_TRUE(Ok) << Value;
+    EXPECT_EQ(Tag, "@r" + std::to_string(I));
+    EXPECT_EQ(Value, std::to_string(2 * I));
+  }
+  S.stop();
+}
+
+TEST_F(ServeTest, OverlongLineIsRefusedAndTheSessionClosed) {
+  // 70,000 bytes and no newline: past the 64 KiB line limit the server
+  // stops waiting for the line's end, answers ERR and hangs up. Client
+  // appends a newline to every line, so this one goes out raw.
+  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(Fd, 0);
+  sockaddr_in Addr{};
+  Addr.sin_family = AF_INET;
+  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  Addr.sin_port = htons(S->port());
+  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof Addr),
+            0);
+  std::string Junk(70000, 'x');
+  for (size_t Off = 0; Off < Junk.size();) {
+    ssize_t N = ::send(Fd, Junk.data() + Off, Junk.size() - Off, 0);
+    ASSERT_GT(N, 0);
+    Off += static_cast<size_t>(N);
+  }
+  std::string Got;
+  bool Closed = false;
+  while (!Closed) {
+    pollfd P{Fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&P, 1, 120000), 1) << "no answer, no close; got: " << Got;
+    char Buf[256];
+    ssize_t N = ::recv(Fd, Buf, sizeof Buf, 0);
+    if (N <= 0)
+      Closed = true;
+    else
+      Got.append(Buf, static_cast<size_t>(N));
+  }
+  ::close(Fd);
+  EXPECT_EQ(Got, "ERR request line too long\n");
+}
+
+TEST_F(ServeTest, SessionRebindWithRequestsInFlightIsRefused) {
+  // Both lines arrive in one read, so the eval is still in flight when
+  // `!session` is parsed. Rebinding then would split this connection's
+  // answers across two client identities.
+  Client C = connect();
+  ASSERT_TRUE(C.sendLine("@slow | t | 1 to: 300000 do: [:i | t := i]. ^0\n"
+                         "!session 9"));
+  std::string Line, Tag, Value;
+  bool Ok = true;
+  ASSERT_TRUE(C.recvLine(Line, 120.0));
+  ASSERT_TRUE(parseResponseLine(Line, Ok, Tag, Value));
+  EXPECT_FALSE(Ok);
+  EXPECT_EQ(Value, "!session refused: requests still in flight");
+  ASSERT_TRUE(C.recvLine(Line, 120.0));
+  ASSERT_TRUE(parseResponseLine(Line, Ok, Tag, Value));
+  EXPECT_TRUE(Ok) << Value;
+  EXPECT_EQ(Tag, "@slow");
+  EXPECT_EQ(Value, "0");
 }
 
 // --- Periodic checkpoints ------------------------------------------------
@@ -842,6 +932,128 @@ TEST(ServeJournal, TornTailUnderACheckpointMarkLosesNoLaterWrite) {
   ASSERT_TRUE(C.eval("Smalltalk at: #C", Ok, Value, 120.0));
   ASSERT_TRUE(Ok) << Value;
   EXPECT_EQ(Value, "2") << "an acknowledged increment was lost";
+  S.stop();
+}
+
+// A timed-out request's journal outcome carries its ERR, so replay
+// answers from the record: re-running the runaway would hold the reboot
+// for the whole replay deadline, and count as a replayed intent.
+TEST(ServeJournal, ReplayAnswersATimedOutRequestWithoutReRunningIt) {
+  std::string DataDir = makeTempDir();
+  ServerConfig Config = testServerConfig(1, DataDir);
+  Config.Pool.Journal = true;
+  Server S(std::move(Config));
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+
+  Client Admin, C;
+  ASSERT_TRUE(Admin.connect(S.port()));
+  ASSERT_TRUE(C.connect(S.port()));
+  ASSERT_TRUE(C.bindSession(3));
+  bool Ok = false;
+  std::string Line, Tag, Value;
+  ASSERT_TRUE(Admin.eval("!checkpoint", Ok, Value, 120.0));
+  ASSERT_TRUE(Ok) << Value;
+  ASSERT_TRUE(C.sendLine("@a?deadline=100&seq=1 [true] whileTrue."));
+  ASSERT_TRUE(C.recvLine(Line, 120.0));
+  ASSERT_TRUE(parseResponseLine(Line, Ok, Tag, Value));
+  EXPECT_FALSE(Ok);
+  EXPECT_NE(Value.find("RequestTimeout"), std::string::npos) << Value;
+
+  // The kill answers once the reboot, replay included, is done.
+  auto T0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(Admin.eval("!kill 0", Ok, Value, 120.0));
+  EXPECT_TRUE(Ok) << Value;
+  auto Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - T0)
+                .count();
+  EXPECT_LT(Ms, 2500) << "replay re-ran the runaway up to its 5 s deadline";
+  EXPECT_EQ(S.pool().health()[0].Replayed, 0u);
+  S.stop();
+}
+
+// Two bound clients whose (client, seq) pairs differ but which the old
+// mixed 64-bit in-flight key mapped to the same value: both requests
+// run, in one batch, behind a third session's runaway.
+TEST(ServeJournal, DistinctSeqPairsInOneBatchBothExecute) {
+  std::string DataDir = makeTempDir();
+  ServerConfig Config = testServerConfig(1, DataDir);
+  Config.Pool.Journal = true;
+  Server S(std::move(Config));
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+
+  Client A, B, Busy;
+  ASSERT_TRUE(A.connect(S.port()));
+  ASSERT_TRUE(B.connect(S.port()));
+  ASSERT_TRUE(Busy.connect(S.port()));
+  ASSERT_TRUE(A.bindSession(1));
+  ASSERT_TRUE(B.bindSession(2));
+  bool Ok = false;
+  std::string Line, Tag, Value;
+  ASSERT_TRUE(Busy.eval("Smalltalk at: #C put: 0", Ok, Value));
+  ASSERT_TRUE(Ok) << Value;
+
+  // The runaway holds the shard; both increments queue behind it.
+  uint64_t Batches = S.pool().health()[0].Batches;
+  ASSERT_TRUE(Busy.sendLine("@busy?deadline=500 [true] whileTrue."));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::string Inc = " Smalltalk at: #C put: (Smalltalk at: #C) + 1";
+  ASSERT_TRUE(A.sendLine("@a?seq=1" + Inc));
+  ASSERT_TRUE(B.sendLine("@b?seq=6793268496247915532" + Inc));
+  for (Client *C : {&A, &B}) {
+    ASSERT_TRUE(C->recvLine(Line, 120.0));
+    ASSERT_TRUE(parseResponseLine(Line, Ok, Tag, Value));
+    EXPECT_TRUE(Ok) << Tag << ": " << Value;
+  }
+  ASSERT_TRUE(Busy.recvLine(Line, 120.0));
+  EXPECT_EQ(S.pool().health()[0].Batches - Batches, 2u)
+      << "the two increments did not share a batch";
+  ASSERT_TRUE(Busy.eval("Smalltalk at: #C", Ok, Value));
+  ASSERT_TRUE(Ok) << Value;
+  EXPECT_EQ(Value, "2");
+  S.stop();
+}
+
+// A resend racing its original in one batch is refused, exactly as
+// before: the counter rises once.
+TEST(ServeJournal, ResendInTheSameBatchIsRefusedAsInFlight) {
+  std::string DataDir = makeTempDir();
+  ServerConfig Config = testServerConfig(1, DataDir);
+  Config.Pool.Journal = true;
+  Server S(std::move(Config));
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+
+  Client A, Busy;
+  ASSERT_TRUE(A.connect(S.port()));
+  ASSERT_TRUE(Busy.connect(S.port()));
+  ASSERT_TRUE(A.bindSession(1));
+  bool Ok = false;
+  std::string Line, Tag, Value;
+  ASSERT_TRUE(Busy.eval("Smalltalk at: #C put: 0", Ok, Value));
+  ASSERT_TRUE(Ok) << Value;
+
+  uint64_t Batches = S.pool().health()[0].Batches;
+  ASSERT_TRUE(Busy.sendLine("@busy?deadline=500 [true] whileTrue."));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::string Inc =
+      "@a?seq=5 Smalltalk at: #C put: (Smalltalk at: #C) + 1";
+  ASSERT_TRUE(A.sendLine(Inc + "\n" + Inc));
+  ASSERT_TRUE(A.recvLine(Line, 120.0));
+  ASSERT_TRUE(parseResponseLine(Line, Ok, Tag, Value));
+  EXPECT_TRUE(Ok) << Value;
+  EXPECT_EQ(Value, "1");
+  ASSERT_TRUE(A.recvLine(Line, 120.0));
+  ASSERT_TRUE(parseResponseLine(Line, Ok, Tag, Value));
+  EXPECT_FALSE(Ok);
+  EXPECT_EQ(Value, "overloaded: request seq 5 still in flight; retry later");
+  ASSERT_TRUE(Busy.recvLine(Line, 120.0));
+  EXPECT_EQ(S.pool().health()[0].Batches - Batches, 2u)
+      << "the resend did not share its original's batch";
+  ASSERT_TRUE(Busy.eval("Smalltalk at: #C", Ok, Value));
+  ASSERT_TRUE(Ok) << Value;
+  EXPECT_EQ(Value, "1");
   S.stop();
 }
 

@@ -58,7 +58,6 @@ inline serve::ServerConfig testServerConfig(unsigned Shards,
   C.Pool.Shards = Shards;
   C.Pool.BaseImage = baseImage();
   C.Pool.DataDir = DataDir;
-  C.Pool.Vm = VmConfig::multiprocessor(1);
   C.DrainTimeoutSec = 60.0;
   return C;
 }

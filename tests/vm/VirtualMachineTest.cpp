@@ -18,12 +18,11 @@ namespace {
 TEST(VirtualMachineTest, ConfigPresets) {
   VmConfig BS = VmConfig::baselineBS();
   EXPECT_EQ(BS.Interpreters, 1u);
-  EXPECT_FALSE(BS.MpSupport);
   EXPECT_FALSE(BS.Memory.MpSupport);
 
   VmConfig MS = VmConfig::multiprocessor(4);
   EXPECT_EQ(MS.Interpreters, 4u);
-  EXPECT_TRUE(MS.MpSupport);
+  EXPECT_TRUE(MS.Memory.MpSupport);
   EXPECT_EQ(MS.CacheKind, MethodCacheKind::Replicated);
   EXPECT_EQ(MS.FreeCtxKind, FreeContextKind::Replicated);
 }
