@@ -26,11 +26,12 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "image/Bootstrap.h"
-#include "image/Checkpoint.h"
 #include "image/Snapshot.h"
+#include "obs/Telemetry.h"
 #include "obs/TraceBuffer.h"
 #include "vkernel/Chaos.h"
 #include "vm/VirtualMachine.h"
@@ -40,10 +41,10 @@ using namespace mst;
 int main(int argc, char **argv) {
   bool TelemetryReport = false;
   std::string TraceOut;
-  std::string SnapshotPath; // --snapshot=: save on exit + checkpoint target
+  std::string SnapshotPath; // --snapshot=: save on exit and between lines
   std::string LoadPath;     // --load=: boot from an image, skip bootstrap
   uint64_t SnapshotEveryMs = 0;
-  unsigned SnapshotKeep = 0;
+  SnapshotOptions SaveOpts; // --snapshot-keep=
   bool Profile = false;        // --profile: sampling profiler
   uint32_t ProfileHz = 0;      // --profile-hz=N (0 = default rate)
   std::string ProfileFolded;   // --profile-folded=PATH: collapsed stacks
@@ -78,7 +79,7 @@ int main(int argc, char **argv) {
     } else if (std::strncmp(A, "--snapshot-every=", 17) == 0) {
       SnapshotEveryMs = std::strtoull(A + 17, nullptr, 0);
     } else if (std::strncmp(A, "--snapshot-keep=", 16) == 0) {
-      SnapshotKeep =
+      SaveOpts.KeepGenerations =
           static_cast<unsigned>(std::strtoul(A + 16, nullptr, 0));
     } else if (std::strcmp(A, "--profile") == 0) {
       Profile = true;
@@ -137,50 +138,38 @@ int main(int argc, char **argv) {
     bootstrapImage(VM);
   }
 
-  Checkpointer::Options CkOpts;
-  CkOpts.Path = SnapshotPath;
-  CkOpts.EveryMs = SnapshotEveryMs;
-  CkOpts.KeepGenerations = SnapshotKeep;
-  Checkpointer Checkpoints(VM, CkOpts);
+  std::optional<EmergencySnapshot> Emergency;
+  if (!SnapshotPath.empty())
+    Emergency.emplace(VM, SnapshotPath);
 
   std::printf("Multiprocessor Smalltalk listener — empty line or EOF "
               "quits.\n");
 
   std::string Line;
-  size_t Shown = 0;
+  // --snapshot-every: this thread saves between lines, so an image never
+  // holds half of one; a line that runs forever is never saved.
+  uint64_t NextSaveNs = Telemetry::nowNs() + SnapshotEveryMs * 1000000;
+  bool Unsaved = false; // a line ran since the last save
   for (;;) {
     std::printf("> ");
     std::fflush(stdout);
-    bool GotLine;
-    {
-      // Waiting for input counts as safe: the auto-checkpointer (and any
-      // worker GC) can stop the world while the listener sits at the
-      // prompt.
-      BlockedRegion B(VM.memory().safepoint());
-      GotLine = static_cast<bool>(std::getline(std::cin, Line));
-    }
-    if (!GotLine || Line.empty())
+    if (!std::getline(std::cin, Line) || Line.empty())
       break;
-    // Expressions without an explicit return answer their value.
-    std::string Src = Line;
-    if (Src[0] != '^' && Src[0] != '|')
-      Src = "^(" + Src + ") printString";
-    Oop R = VM.compileAndRun(Src);
-    if (R.isNull()) {
-      auto Errors = VM.errors();
-      for (size_t I = Shown; I < Errors.size(); ++I)
-        std::printf("error: %s\n", Errors[I].c_str());
-      Shown = Errors.size();
-      continue;
+    if (SnapshotEveryMs && Unsaved && Telemetry::nowNs() >= NextSaveNs) {
+      std::string Error;
+      if (saveSnapshot(VM, SnapshotPath, Error, SaveOpts))
+        Unsaved = false;
+      else
+        std::fprintf(stderr, "snapshot failed: %s\n", Error.c_str());
+      NextSaveNs = Telemetry::nowNs() + SnapshotEveryMs * 1000000;
     }
-    if (R.isPointer() && R.object()->Format == ObjectFormat::Bytes)
-      std::printf("%s\n", ObjectModel::stringValue(R).c_str());
-    else
-      std::printf("%s\n", VM.model().describe(R).c_str());
+    VirtualMachine::EvalResult R = VM.evaluate(Line);
+    Unsaved = true;
+    std::printf(R.Ok ? "%s\n" : "error: %s\n", R.Value.c_str());
   }
   if (!SnapshotPath.empty()) {
     std::string Error;
-    if (!Checkpoints.checkpointNow(Error))
+    if (!saveSnapshot(VM, SnapshotPath, Error, SaveOpts))
       std::fprintf(stderr, "snapshot failed: %s\n", Error.c_str());
     else
       std::printf("image saved to %s\n", SnapshotPath.c_str());

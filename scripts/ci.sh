@@ -76,11 +76,15 @@
 #                to MST_PROFILE_OVERHEAD_MAX_PCT (default 5) before the
 #                lane fails.
 #   coverage     Debug build with GCC --coverage, then all of Tier-1
-#                (every ctest case, quick and stress). A report, not a
-#                gate: for each src/ file it prints how many of the lines
-#                gcov counts Tier-1 never executed, those lines as ranges
-#                (`42-45 56 81-82`), and the functions it never entered
-#                (name:first line), read with gcov-12.
+#                (every ctest case, quick and stress), then a short run
+#                of each perfbench workload: perfbench_driver, linked
+#                against this build, sends serve_small's load to its
+#                mst_serve and runs macro_table2's states in process. A
+#                report, not a gate: for each src/ file it prints how
+#                many of the lines gcov counts this traffic never
+#                executed, those lines as ranges (`42-45 56 81-82`), and
+#                the functions it never entered (name:first line), read
+#                with gcov-12.
 #                No threshold. Runs only when named: it is not part of the
 #                full matrix and CI does not run it. The report is also
 #                written to build-ci/coverage/coverage.txt.
@@ -144,48 +148,64 @@ do_release() {
   heap_ceiling_run
 }
 
+# start_serve LOG MST_SERVE ARGS...: starts the daemon on an ephemeral
+# port, logging to LOG; sets serve_pid, and serve_port once its "serving
+# on" line appears within 30 s (empty otherwise).
+start_serve() {
+  local log=$1
+  shift
+  "$@" --port=0 >"$log" 2>&1 &
+  serve_pid=$!
+  serve_port=""
+  for _ in $(seq 300); do
+    serve_port=$(sed -n 's/.*serving on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
+      "$log")
+    [ -n "$serve_port" ] && break
+    sleep 0.1
+  done
+}
+
+# stop_serve: SIGTERM to serve_pid; the drain gets 30 s, and a daemon
+# still alive then is killed instead of hanging the lane. Sets
+# serve_status to the daemon's exit status, or "hung".
+stop_serve() {
+  serve_status=0
+  kill -TERM "$serve_pid" 2>/dev/null || true
+  for _ in $(seq 300); do
+    kill -0 "$serve_pid" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "$serve_pid" 2>/dev/null; then
+    kill -KILL "$serve_pid" 2>/dev/null || true
+    wait "$serve_pid" 2>/dev/null || true
+    serve_status=hung
+  else
+    wait "$serve_pid" || serve_status=$?
+  fi
+}
+
 # The daemon bootstraps its shards itself (no --image), takes the
 # serve_small load on an ephemeral port, must fit in its shards' heap
 # ceilings, and must drain cleanly.
 heap_ceiling_run() {
   local out=build-ci/release/heap-ceiling warmup=300000
-  local shards=4 ceiling=16777216
+  local shards=4 ceiling=16777216 hwm_kb=""
   rm -rf "$out"
   mkdir -p "$out/data"
-  MST_MAX_HEAP_BYTES=$ceiling build-ci/release/src/serve/mst_serve \
-    --port=0 --shards=$shards --data-dir="$out/data" --journal \
-    >"$out/serve.log" 2>&1 &
-  local pid=$! port="" status=0 hwm_kb=""
-  for _ in $(seq 300); do
-    port=$(sed -n 's/.*serving on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-      "$out/serve.log")
-    [ -n "$port" ] && break
-    sleep 0.1
-  done
-  if [ -n "$port" ]; then
-    build-ci/perfbench/perfbench_driver loadgen --port="$port" \
-      --server-pid="$pid" --workload=serve_small --seed=1 \
+  MST_MAX_HEAP_BYTES=$ceiling start_serve "$out/serve.log" \
+    build-ci/release/src/serve/mst_serve --shards=$shards \
+    --data-dir="$out/data" --journal
+  if [ -n "$serve_port" ]; then
+    build-ci/perfbench/perfbench_driver loadgen --port="$serve_port" \
+      --server-pid="$serve_pid" --workload=serve_small --seed=1 \
       --warmup="$warmup" --rate=10 --paced=10 --closed=10 \
       >"$out/loadgen.json" || true
   fi
   # Peak resident memory over the whole load, read before the drain.
   hwm_kb=$(sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' \
-    "/proc/$pid/status" 2>/dev/null || true)
-  # The drain gets 30 s; a daemon still alive then is killed and fails
-  # the step instead of hanging the lane.
-  kill -TERM "$pid" 2>/dev/null || true
-  for _ in $(seq 300); do
-    kill -0 "$pid" 2>/dev/null || break
-    sleep 0.1
-  done
-  if kill -0 "$pid" 2>/dev/null; then
-    kill -KILL "$pid" 2>/dev/null || true
-    wait "$pid" 2>/dev/null || true
-    status=hung
-  else
-    wait "$pid" || status=$?
-  fi
-  python3 - "$out/loadgen.json" "$warmup" "$status" "$hwm_kb" \
+    "/proc/$serve_pid/status" 2>/dev/null || true)
+  stop_serve
+  python3 - "$out/loadgen.json" "$warmup" "$serve_status" "$hwm_kb" \
     $((shards * ceiling / 1024)) <<'PYEOF'
 import json, sys
 
@@ -407,8 +427,44 @@ PYEOF
   fi
 }
 
+# A short run of each perfbench workload against the coverage build, so
+# the report counts the benchmark's traffic too: serve_small's load
+# against its daemon (started with the workload's flags on a prewarmed
+# image), then macro_table2's in-process states at a small scale. The
+# daemon must exit 0 on SIGTERM, or its counts are never written.
+coverage_traffic() {
+  banner "coverage: perfbench serve_small and macro_table2 traffic"
+  local out=build-ci/coverage/traffic
+  local driver=build-ci/coverage/perfbench/perfbench_driver
+  cmake -B build-ci/coverage/perfbench -S perfbench \
+    -DMST_BUILD_DIR="$PWD/build-ci/coverage" \
+    -DCMAKE_EXE_LINKER_FLAGS=--coverage >/dev/null
+  cmake --build build-ci/coverage/perfbench -j "$JOBS" \
+    --target perfbench_driver
+  rm -rf "$out"
+  mkdir -p "$out/data"
+  build-ci/coverage/bench/bench_prewarm "$out/prewarmed.image" \
+    >"$out/prewarm.log"
+  start_serve "$out/serve.log" build-ci/coverage/src/serve/mst_serve \
+    --shards=4 --image="$out/prewarmed.image" --data-dir="$out/data" \
+    --journal --snapshot-every=3600000
+  local load=ok
+  if [ -z "$serve_port" ] || ! "$driver" loadgen --port="$serve_port" \
+    --server-pid="$serve_pid" --workload=serve_small --seed=1 \
+    --warmup=20000 --rate=2000 --paced=2000 --closed=4000 \
+    >"$out/loadgen.json"; then
+    load=failed
+  fi
+  stop_serve
+  echo "serve_small: load $load, mst_serve exit $serve_status"
+  [ "$load" = ok ] && [ "$serve_status" = 0 ] || return 1
+  "$driver" states --workload=macro_table2 --image="$out/prewarmed.image" \
+    --seed=1 --reps=1 --scale=0.02 >"$out/states.json"
+  echo "macro_table2: states ok"
+}
+
 do_coverage() {
-  banner "coverage: GCC --coverage, Tier-1, unexecuted code per src/ file"
+  banner "coverage: GCC --coverage, Tier-1 and perfbench, unexecuted code"
   # Benches on: the bench_spinlock ctest case is part of Tier-1.
   cmake -B build-ci/coverage -S . \
     -DCMAKE_BUILD_TYPE=Debug \
@@ -419,6 +475,7 @@ do_coverage() {
   # Counts left by an earlier run would add to this one's.
   find build-ci/coverage -name '*.gcda' -delete
   ctest --test-dir build-ci/coverage --output-on-failure -j "$JOBS"
+  coverage_traffic
   python3 - build-ci/coverage "$PWD/src/" <<'PYEOF' |
 import json, os, re, subprocess, sys
 

@@ -6,6 +6,9 @@
 
 #include "image/MacroBenchmarks.h"
 
+#include <chrono>
+#include <thread>
+
 #include "image/Bootstrap.h"
 #include "support/Timer.h"
 
@@ -90,10 +93,21 @@ TimedRun mst::runTimedWorkload(VirtualMachine &VM,
   if (!VM.waitHostSignal(Sig, 1, TimeoutSec))
     return R;
   R.WallSec = Watch.seconds();
-  Oop Us = VM.compileAndRun(
-      "^(Smalltalk at: #TimedWorkload) accumulatedMicroseconds");
-  if (Us.isSmallInt())
-    R.CpuSec = static_cast<double>(Us.smallInt()) / 1e6;
+  // The signal is the workload's last send, but its interpreter credits
+  // the slice that ran it only when the slice ends, just before it
+  // terminates the Process (Interpreter::runLoop). Read the time once the
+  // Process has terminated, when it is final.
+  for (;;) {
+    Oop Us = VM.compileAndRun(
+        "| p | p := Smalltalk at: #TimedWorkload. ^p suspendedContext "
+        "isNil ifTrue: [p accumulatedMicroseconds]");
+    if (Us.isSmallInt())
+      R.CpuSec = static_cast<double>(Us.smallInt()) / 1e6;
+    if (Us.isNull() || Us.isSmallInt() || Watch.seconds() > TimeoutSec)
+      break;
+    BlockedRegion Waiting(VM.memory().safepoint());
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
   R.Ok = R.CpuSec >= 0.0;
   return R;
 }

@@ -70,7 +70,8 @@ struct TimedRun {
 };
 
 /// Runs \p BodyStatements (no trailing period) as a priority-5 Smalltalk
-/// Process and waits for completion.
+/// Process and waits until that Process has terminated, so the CPU time
+/// it reports is final.
 TimedRun runTimedWorkload(VirtualMachine &VM,
                           const std::string &BodyStatements,
                           double TimeoutSec = 300.0);

@@ -54,6 +54,7 @@
 #include "obs/Telemetry.h"
 #include "support/Assert.h"
 #include "support/Crc32.h"
+#include "support/Panic.h"
 #include "vkernel/Chaos.h"
 
 using namespace mst;
@@ -142,6 +143,10 @@ Histogram &loadMillisHist() {
 }
 Counter &dirFsyncWarnCtr() {
   static Counter C{"img.save.dirfsync.warnings"};
+  return C;
+}
+Counter &emergencyCtr() {
+  static Counter C{"img.save.emergency"};
   return C;
 }
 
@@ -291,9 +296,8 @@ private:
 /// One mutex per target path string, never reclaimed (the set of snapshot
 /// paths a process writes is tiny and fixed). Held across the temp-file
 /// write, rotation, and rename, it serializes concurrent saves to the
-/// same path — the periodic checkpointer racing an exit-time
-/// checkpointNow must not interleave two rotations or publish over each
-/// other mid-protocol.
+/// same path, which must not interleave two rotations or publish over
+/// each other mid-protocol.
 std::mutex &savePathLock(const std::string &Path) {
   static std::mutex RegistryMu;
   static auto &Locks = *new std::map<std::string, std::mutex>();
@@ -1026,6 +1030,31 @@ bool mst::saveSnapshot(VirtualMachine &VM, const std::string &Path,
   std::lock_guard<std::mutex> SaveLock(savePathLock(Path));
   return writeAtomically(Path, Image.V, Options, Error);
 }
+
+EmergencySnapshot::EmergencySnapshot(VirtualMachine &VM,
+                                     const std::string &Path)
+    : Section(panicRegisterSection(
+          "emergency snapshot", [&VM, Target = Path + ".panic"] {
+            // A stop-the-world request could never complete while a pause
+            // is already in progress, and would corrupt the rendezvous
+            // count from an unregistered thread.
+            Safepoint &Sp = VM.memory().safepoint();
+            if (Sp.pollNeeded())
+              return std::string(
+                  "skipped: a stop-the-world pause is in progress\n");
+            if (!Sp.currentThreadRegistered())
+              return std::string(
+                  "skipped: panicking thread is not a registered mutator\n");
+            std::string Error;
+            if (!saveSnapshot(VM, Target, Error))
+              return "failed: " + Error + "\n";
+            emergencyCtr().add();
+            return "written to " + Target + "\n";
+          })) {}
+
+// Unregistered before the VM dies: an emergency save would walk a dying
+// heap.
+EmergencySnapshot::~EmergencySnapshot() { panicUnregisterSection(Section); }
 
 bool mst::loadSnapshotExact(VirtualMachine &VM, const std::string &Path,
                             std::string &Error,

@@ -24,11 +24,14 @@
 ///  - **Atomic durability**: the writer serializes to a per-save unique
 ///    temp file (`<path>.tmp.<pid>.<seq>`), fsyncs it, then renames over
 ///    the target and fsyncs the directory. The target path never holds a
-///    torn image; a crash at any point leaves either the old image or the
-///    new one, and concurrent saves to the same path are serialized so
+///    torn image, and concurrent saves to the same path are serialized so
 ///    rotation and rename never interleave. With
 ///    SnapshotOptions::KeepGenerations = N, the previous images rotate to
-///    `<path>.1` … `<path>.N` before the rename.
+///    `<path>.1` … `<path>.N` before the rename. Without rotation a crash
+///    at any point leaves the old image or the new one at `<path>`; with
+///    it, a crash between the rotation and the rename leaves no `<path>`
+///    at all, and the old image at `<path>.1`, where the recovery ladder
+///    finds it.
 ///  - **Hardened loader**: every read is bounds-checked against its
 ///    section, every section CRC-verified before decoding, and the whole
 ///    object graph is structurally validated (reference ranges, formats,
@@ -93,12 +96,13 @@ struct SnapshotInfo {
 
 /// Writes \p VM's image to \p Path using the atomic tmp+fsync+rename
 /// protocol. Must run on a thread registered as a mutator with \p VM's
-/// object memory (the driver thread, or a checkpointer thread that
-/// registered itself): the writer stops the world while it serializes,
-/// then performs the file I/O with the world running. Concurrent saves to
-/// the same \p Path string (the periodic checkpointer racing an exit-time
-/// checkpoint) are serialized internally, and every save writes through
-/// its own unique temp file, so each rename publishes a complete image.
+/// object memory: the writer stops the world while it serializes, then
+/// performs the file I/O with the world running. The repl and the
+/// serving shards call it from the thread that owns the VM, between
+/// requests, so an image never holds half of one. Concurrent saves to the
+/// same \p Path string are serialized internally, and every save writes
+/// through its own unique temp file, so each rename publishes a complete
+/// image.
 /// \returns false with \p Error set (including errno text and the failing
 /// byte offset for I/O errors) on failure; the target path is never left
 /// torn. Once the rename has landed the save reports success even if the
@@ -107,6 +111,26 @@ struct SnapshotInfo {
 bool saveSnapshot(VirtualMachine &VM, const std::string &Path,
                   std::string &Error,
                   const SnapshotOptions &Opts = SnapshotOptions());
+
+/// The emergency image: while one lives, a panic (support/Panic.h) saves
+/// \p VM to `<Path>.panic`, so a panicking VM leaves a restartable image
+/// next to its postmortem dump (counted in `img.save.emergency`). Best
+/// effort by design, since it runs on whatever thread panicked: it is
+/// skipped when a stop-the-world pause is already in progress (say, a
+/// heap-verification panic mid-GC) or the panicking thread is not a
+/// registered mutator, where a save would hang or corrupt the rendezvous.
+/// Construct after the VM, destroy before it.
+class EmergencySnapshot {
+public:
+  EmergencySnapshot(VirtualMachine &VM, const std::string &Path);
+  ~EmergencySnapshot();
+
+  EmergencySnapshot(const EmergencySnapshot &) = delete;
+  EmergencySnapshot &operator=(const EmergencySnapshot &) = delete;
+
+private:
+  int Section; ///< the panic section's id
+};
 
 /// How a failed load left the VM. Verification runs entirely against the
 /// file buffer, so everything up to and including it fails with the VM

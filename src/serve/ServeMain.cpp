@@ -94,6 +94,12 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "mst_serve: --journal requires --data-dir\n");
     return 2;
   }
+  if (Config.MaxPipeline == 0) {
+    // A session would park after its first line with nothing in flight
+    // to resume it.
+    std::fprintf(stderr, "mst_serve: --max-pipeline must be at least 1\n");
+    return 2;
+  }
   if (!chaos::enabled())
     chaos::enableFromEnv(); // MST_CHAOS_SEED / MST_CHAOS_*_PM
   if (Profile)

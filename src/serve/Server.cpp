@@ -547,7 +547,7 @@ void Server::deliverResponses() {
       S.Out += formatResponse(Q.Ok, Q.Tag, Q.Value);
       if (S.Pending)
         --S.Pending;
-      if (S.Paused && S.Pending < Config.MaxPipeline / 2) {
+      if (S.Paused && 2 * S.Pending <= Config.MaxPipeline) {
         S.Paused = false;
         // The client may have nothing more to send: lines it pipelined
         // past the cap are sitting parsed-less in S.In. Resume here.

@@ -49,7 +49,8 @@ struct ServerConfig {
   /// read it back with port().
   uint16_t Port = 0;
   PoolConfig Pool;
-  /// Outstanding requests per session before its reads are parked.
+  /// Outstanding requests per session before its reads are parked; at
+  /// least 1.
   size_t MaxPipeline = 1024;
   /// Force-close deadline for a graceful drain.
   double DrainTimeoutSec = 30.0;

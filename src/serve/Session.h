@@ -14,7 +14,7 @@
 ///
 /// Flow control: a session may pipeline requests, but past MaxPipeline
 /// outstanding the server parks its POLLIN (Paused) until responses
-/// drain below half the cap — one slow session backs up its own socket,
+/// drain to half the cap — one slow session backs up its own socket,
 /// not the shard pool.
 ///
 //===----------------------------------------------------------------------===//

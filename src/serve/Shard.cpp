@@ -8,10 +8,7 @@
 
 #include <unistd.h>
 
-#include <optional>
-
 #include "image/Bootstrap.h"
-#include "image/Checkpoint.h"
 #include "image/Snapshot.h"
 #include "obs/Profiler.h"
 #include "vkernel/Chaos.h"
@@ -24,7 +21,7 @@ namespace {
 constexpr size_t MaxBatch = 256;
 
 bool fileExists(const std::string &Path) {
-  return !Path.empty() && ::access(Path.c_str(), F_OK) == 0;
+  return ::access(Path.c_str(), F_OK) == 0;
 }
 
 /// Whether a request ahead of B[I] in its batch journaled the same
@@ -129,14 +126,17 @@ void Shard::noteError(const std::string &E) {
 /// constructed VirtualMachine.
 void Shard::bootVm() {
   auto Fresh = [this] {
-    Ck.reset();
+    Emergency.reset();
     VM.reset();
     VM = std::make_unique<VirtualMachine>(VmConfig::multiprocessor(1));
   };
   Fresh();
   bool Booted = false;
   SnapshotInfo Info;
-  if (fileExists(Config.CheckpointPath)) {
+  // A kill between a save's rotation and its rename leaves no
+  // checkpoint, only `<path>.1`; the ladder boots from that.
+  if (checkpointing() && (fileExists(Config.CheckpointPath) ||
+                          fileExists(Config.CheckpointPath + ".1"))) {
     std::string Err;
     if (loadSnapshot(*VM, Config.CheckpointPath, Err, &Info)) {
       Booted = true;
@@ -179,15 +179,9 @@ void Shard::bootVm() {
   Profiler::registerThread("shard" + std::to_string(Config.Index),
                            static_cast<int>(VM->config().Interpreters));
 
-  if (!Config.CheckpointPath.empty()) {
-    // No periodic thread (EveryMs stays 0): a checkpoint taken from one
-    // would stop the world mid-request and cover half of it. The shard
-    // thread checkpoints between batches instead (checkpoint()).
-    Checkpointer::Options O;
-    O.Path = Config.CheckpointPath;
-    O.KeepGenerations = Config.KeepGenerations;
-    Ck = std::make_unique<Checkpointer>(*VM, O);
-  }
+  if (checkpointing())
+    Emergency = std::make_unique<EmergencySnapshot>(*VM,
+                                                    Config.CheckpointPath);
   // First boot only: rebooting must not push an overdue auto-checkpoint
   // further out, or a kill storm arriving faster than CheckpointEveryMs
   // starves checkpoints forever — the journal never truncates and every
@@ -220,7 +214,7 @@ void Shard::restartVm(const char *Why) {
 }
 
 void Shard::teardownVm() {
-  Ck.reset();
+  Emergency.reset();
   if (VM)
     VM->shutdown();
   VM.reset();
@@ -256,9 +250,9 @@ void Shard::processBatch(Batch &B) {
       // this batch journaled has executed before the mark is read.
       std::string Err;
       Q.Done = true;
-      Q.Ok = Ck && checkpoint(Err);
+      Q.Ok = checkpointing() && checkpoint(Err);
       Q.Value = "shard " + std::to_string(Config.Index);
-      if (!Ck)
+      if (!checkpointing())
         Q.Value += ": checkpointing disabled";
       else if (Q.Ok)
         Q.Value += " checkpointed to " + Config.CheckpointPath;
@@ -389,7 +383,7 @@ void Shard::shardMain() {
   // Graceful lifecycle: SIGTERM/stop() checkpoints every shard before
   // the pool goes down.
   std::string Err;
-  if (Ck)
+  if (checkpointing())
     checkpoint(Err);
   teardownVm();
   setState("stopped");
@@ -572,23 +566,25 @@ void Shard::replayJournal(uint64_t Mark) {
 }
 
 bool Shard::checkpoint(std::string &Err) {
-  std::optional<uint64_t> Mark;
+  SnapshotOptions O;
+  O.KeepGenerations = Config.KeepGenerations;
   if (journaled()) {
     // A crash may tear off what is unsynced. Were that below the mark,
     // the records appended after the reboot would land under it, and the
     // next reboot from this image would skip them.
     syncJournal();
     RefusalPending = false; // that sync covered them too
-    Mark = Jrnl->endPos();
+    O.HasJournalMark = true;
+    O.JournalMark = Jrnl->endPos();
   }
-  if (!Ck->checkpointNow(Err, Mark)) {
+  if (!saveSnapshot(*VM, Config.CheckpointPath, Err, O)) {
     noteError("checkpoint failed: " + Err);
     return false;
   }
   Stats.Checkpoints.add();
   Unsaved = false;
-  if (Mark) {
-    commitJournalTruncate(*Mark);
+  if (O.HasJournalMark) {
+    commitJournalTruncate(O.JournalMark);
     publishJournalCounts();
   }
   return true;
@@ -611,7 +607,9 @@ void Shard::commitJournalTruncate(uint64_t Mark) {
 }
 
 uint64_t Shard::autoCheckpointDueNs() const {
-  return Ck && Config.CheckpointEveryMs > 0 && Unsaved ? NextAutoCkNs : 0;
+  return checkpointing() && Config.CheckpointEveryMs > 0 && Unsaved
+             ? NextAutoCkNs
+             : 0;
 }
 
 void Shard::maybeAutoCheckpoint() {

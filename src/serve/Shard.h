@@ -18,8 +18,10 @@
 ///
 /// Recovery ladder (the serving layer's whole point of reusing the PR 5
 /// snapshot machinery): a shard boots from its own last committed
-/// checkpoint (`<dir>/shardNNN.image`, with rotated-generation fallback),
-/// else from the pool's prewarmed base image, else from a cold bootstrap.
+/// checkpoint (`<dir>/shardNNN.image`, with rotated-generation fallback,
+/// also when a kill between a save's rotation and its rename left only
+/// `shardNNN.image.1`), else from the pool's prewarmed base image, else
+/// from a cold bootstrap.
 /// A *crash* — the `serve.shard.crash` chaos fail point or an admin
 /// `!kill` — tears down the VM on the shard thread and walks the same
 /// ladder again; requests already queued behind the crash are answered
@@ -80,7 +82,7 @@
 
 namespace mst {
 
-class Checkpointer;
+class EmergencySnapshot;
 
 namespace serve {
 
@@ -205,8 +207,10 @@ private:
   /// Stores the journal size and dedup size for health(); shard thread.
   void publishJournalCounts();
 
+  bool checkpointing() const { return !Config.CheckpointPath.empty(); }
   /// Every checkpoint this shard takes; shard thread, between requests,
-  /// Ck set. Syncs the journal and stamps its end as the image's mark.
+  /// with a checkpoint path. Syncs the journal and stamps its end as the
+  /// image's mark.
   bool checkpoint(std::string &Err);
   /// When a periodic checkpoint waits on unsaved work: its due time
   /// (Telemetry::nowNs); otherwise 0.
@@ -223,9 +227,10 @@ private:
   RequestBatcher Batcher;
   std::thread ShardThread;
 
-  // Shard-thread-owned.
+  // Shard-thread-owned. Emergency (set with a checkpoint path) dies
+  // before the VM.
   std::unique_ptr<VirtualMachine> VM;
-  std::unique_ptr<Checkpointer> Ck;
+  std::unique_ptr<EmergencySnapshot> Emergency;
 
   /// Write-ahead journal (null when disabled) and dedup table. start()
   /// opens the journal before the shard thread runs; after that only the

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -16,7 +15,6 @@
 
 #include "TestVm.h"
 
-#include "image/Checkpoint.h"
 #include "image/MacroBenchmarks.h"
 #include "image/Snapshot.h"
 #include "obs/Telemetry.h"
@@ -654,7 +652,7 @@ TEST(SnapshotTest, DirFsyncFailureAfterRenameStillCommits) {
     uint64_t SavesBefore = counterValue("img.save.snapshots");
     // The rename lands before the directory fsync runs: the image is in
     // place and loadable, so the save must report success (with a
-    // warning), count the snapshot, and let the checkpointer count it.
+    // warning) and count the snapshot.
     chaos::armFail("io.dirfsync.fail", 1000, 7);
     std::string Error;
     EXPECT_TRUE(saveSnapshot(T.vm(), Path, Error)) << Error;
@@ -721,59 +719,30 @@ TEST(SnapshotTest, RoundTripsAcrossWorkerConfigsUnderChaos) {
   }
 }
 
-// --- Auto-checkpoint and the emergency panic snapshot ---------------------
-
-TEST(SnapshotTest, AutoCheckpointerWritesPeriodically) {
-  std::string Path = tempPath("autockpt.image");
-  std::thread([&] {
-    TestVm T;
-    T.eval("Smalltalk at: #Marker put: 21. ^1");
-    Checkpointer::Options Opts;
-    Opts.Path = Path;
-    Opts.EveryMs = 25;
-    Opts.KeepGenerations = 1;
-    Opts.EmergencyOnPanic = false;
-    Checkpointer Ck(T.vm(), Opts);
-    {
-      // The driver must count as safe while it sleeps, or the
-      // checkpointer's stop-the-world request can never complete.
-      BlockedRegion B(T.vm().memory().safepoint());
-      auto Deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      while (Ck.checkpointsTaken() < 2 &&
-             std::chrono::steady_clock::now() < Deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    EXPECT_GE(Ck.checkpointsTaken(), 2u) << Ck.lastError();
-  }).join();
-  ASSERT_TRUE(fileExists(Path));
-  ASSERT_TRUE(fileExists(Path + ".1")); // rotation ran on the second save
-  std::thread([&] {
-    VirtualMachine VM(VmConfig::multiprocessor(1));
-    std::string Error;
-    ASSERT_TRUE(loadSnapshot(VM, Path, Error)) << Error;
-    Oop M = VM.compileAndRun("^Smalltalk at: #Marker");
-    ASSERT_TRUE(M.isSmallInt());
-    EXPECT_EQ(M.smallInt(), 21);
-  }).join();
-}
+// --- Concurrent saves and the emergency panic snapshot ------------------
 
 TEST(SnapshotTest, ConcurrentCheckpointsNeverTearTheTarget) {
   std::string Path = tempPath("concurrent.image");
   std::thread([&] {
     TestVm T;
     T.eval("Smalltalk at: #Marker put: 77. ^1");
-    Checkpointer::Options Opts;
-    Opts.Path = Path;
-    Opts.EveryMs = 1; // the periodic saver hammers the same path...
-    Opts.KeepGenerations = 0; // ...with no ladder to hide a torn target
-    Opts.EmergencyOnPanic = false;
-    Checkpointer Ck(T.vm(), Opts);
-    // ...while the driver races it with explicit checkpoints, the repl's
-    // exit-time pattern. Every save must publish a complete image.
-    std::string Error;
-    for (int I = 0; I < 25; ++I)
-      EXPECT_TRUE(Ck.checkpointNow(Error)) << Error;
+    // Two registered threads hammer the same path, with no rotated
+    // generation to hide a torn target. Every save must publish a
+    // complete image.
+    auto SaveRepeatedly = [&] {
+      std::string Error;
+      for (int I = 0; I < 25; ++I)
+        EXPECT_TRUE(saveSnapshot(T.vm(), Path, Error)) << Error;
+    };
+    std::thread Saver([&] {
+      T.vm().memory().registerMutator("saver");
+      SaveRepeatedly();
+      T.vm().memory().unregisterMutator();
+    });
+    SaveRepeatedly();
+    // The saver may be waiting for this thread to reach a safepoint.
+    BlockedRegion B(T.vm().memory().safepoint());
+    Saver.join();
   }).join();
 
   std::thread([&] {
@@ -792,9 +761,7 @@ TEST(SnapshotTest, EmergencyPanicSnapshotRunsTheMacroWorkload) {
     TestVm T;
     setupMacroWorkload(T.vm());
     T.eval("Smalltalk at: #Marker put: 23. ^1");
-    Checkpointer::Options Opts;
-    Opts.Path = Path;
-    Checkpointer Ck(T.vm(), Opts);
+    EmergencySnapshot Emergency(T.vm(), Path);
 
     std::string Dump;
     setPanicHandler([&Dump](const std::string &D) { Dump = D; });

@@ -11,6 +11,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include <chrono>
+#include <cmath>
+#include <thread>
+
 #include "TestVm.h"
 
 #include "image/MacroBenchmarks.h"
@@ -90,6 +94,30 @@ TEST(TimedRunTest, CpuTimeIsBoundedByWallTime) {
   // Attributed processor time can never exceed elapsed time (plus timer
   // granularity slack).
   EXPECT_LE(R.CpuSec, R.WallSec * 1.25 + 0.01);
+}
+
+// A run's CPU time is final when runTimedWorkload returns: the slice that
+// sent the completion signal is credited only when it ends, which busy
+// competitors can delay past the signal.
+TEST(TimedRunTest, ReportedCpuTimeIsFinal) {
+  TestVm T(VmConfig::multiprocessor(4));
+  setupMacroWorkload(T.vm());
+  T.vm().startInterpreters();
+  forkCompetitors(T.vm(), 4, busyProcessSource(), "BusyGroup");
+  for (size_t I = 0; I < 16; ++I) {
+    SCOPED_TRACE("run " + std::to_string(I));
+    TimedRun R =
+        runMacroBenchmark(T.vm(), macroBenchmarks()[I % 8], 0.02, 180.0);
+    ASSERT_TRUE(R.Ok);
+    {
+      BlockedRegion B(T.vm().memory().safepoint());
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    EXPECT_EQ(T.evalInt("^(Smalltalk at: #TimedWorkload) "
+                        "accumulatedMicroseconds"),
+              std::llround(R.CpuSec * 1e6));
+  }
+  terminateCompetitors(T.vm(), "BusyGroup");
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <iterator>
 #include <thread>
@@ -326,34 +327,37 @@ TEST_F(ServeTest, ProtocolErrorsAnswerWithoutKillingTheServer) {
 // --- Session rules: pipeline cap, line limit, rebinding ------------------
 
 TEST(ServeSession, PipelineCapParksReadsAndResumesInOrder) {
-  std::string DataDir = makeTempDir();
-  ServerConfig Config = testServerConfig(1, DataDir);
-  Config.MaxPipeline = 4;
-  Server S(std::move(Config));
-  std::string Error;
-  ASSERT_TRUE(S.start(Error)) << Error;
+  for (size_t Cap : {1, 4}) {
+    SCOPED_TRACE("cap " + std::to_string(Cap));
+    std::string DataDir = makeTempDir();
+    ServerConfig Config = testServerConfig(1, DataDir);
+    Config.MaxPipeline = Cap;
+    Server S(std::move(Config));
+    std::string Error;
+    ASSERT_TRUE(S.start(Error)) << Error;
 
-  // Sixteen lines in one write: the session stops parsing at four
-  // outstanding and resumes from its buffer as the answers drain, since
-  // the client has nothing more to send.
-  Client C;
-  ASSERT_TRUE(C.connect(S.port()));
-  const int N = 16;
-  std::string Lines;
-  for (int I = 0; I < N; ++I)
-    Lines += (I ? "\n@r" : "@r") + std::to_string(I) + " " +
-             std::to_string(I) + " * 2";
-  ASSERT_TRUE(C.sendLine(Lines));
-  for (int I = 0; I < N; ++I) {
-    std::string Line, Tag, Value;
-    bool Ok = false;
-    ASSERT_TRUE(C.recvLine(Line, 120.0)) << "no answer for @r" << I;
-    ASSERT_TRUE(parseResponseLine(Line, Ok, Tag, Value));
-    EXPECT_TRUE(Ok) << Value;
-    EXPECT_EQ(Tag, "@r" + std::to_string(I));
-    EXPECT_EQ(Value, std::to_string(2 * I));
+    // Sixteen lines in one write: the session stops parsing at the cap
+    // and resumes from its buffer as the answers drain, since the client
+    // has nothing more to send.
+    Client C;
+    ASSERT_TRUE(C.connect(S.port()));
+    const int N = 16;
+    std::string Lines;
+    for (int I = 0; I < N; ++I)
+      Lines += (I ? "\n@r" : "@r") + std::to_string(I) + " " +
+               std::to_string(I) + " * 2";
+    ASSERT_TRUE(C.sendLine(Lines));
+    for (int I = 0; I < N; ++I) {
+      std::string Line, Tag, Value;
+      bool Ok = false;
+      ASSERT_TRUE(C.recvLine(Line, 120.0)) << "no answer for @r" << I;
+      ASSERT_TRUE(parseResponseLine(Line, Ok, Tag, Value));
+      EXPECT_TRUE(Ok) << Value;
+      EXPECT_EQ(Tag, "@r" + std::to_string(I));
+      EXPECT_EQ(Value, std::to_string(2 * I));
+    }
+    S.stop();
   }
-  S.stop();
 }
 
 TEST_F(ServeTest, OverlongLineIsRefusedAndTheSessionClosed) {
@@ -851,6 +855,52 @@ TEST(ServeJournal, KillBetweenCheckpointCommitAndTruncationConverges) {
   // Below-mark intents (put 0, first increment) must NOT re-apply on top
   // of the checkpoint that already contains them.
   EXPECT_EQ(Value, "2") << "replay double-applied or lost an increment";
+  S.stop();
+}
+
+// A kill between a save's rotation and its rename leaves the newest
+// image at `<path>.1` and no `<path>`. The reboot must load it through
+// the ladder: the journal was truncated to that image's mark, so the base
+// image plus the journal no longer holds the acknowledged writes.
+TEST(ServeJournal, KillBetweenRotationAndRenameBootsFromTheRotatedImage) {
+  std::string DataDir = makeTempDir();
+  auto Config = [&] {
+    ServerConfig C = testServerConfig(1, DataDir);
+    C.Pool.Journal = true;
+    C.Pool.KeepGenerations = 1;
+    return C;
+  };
+  bool Ok = false;
+  std::string Error, Value;
+  {
+    Server S(Config());
+    ASSERT_TRUE(S.start(Error)) << Error;
+    Client C;
+    ASSERT_TRUE(C.connect(S.port()));
+    ASSERT_TRUE(C.bindSession(1)); // every eval carries a ?seq=
+    ASSERT_TRUE(C.eval("Smalltalk at: #C put: 0", Ok, Value));
+    ASSERT_TRUE(Ok) << Value;
+    for (int I = 1; I <= 9; ++I) {
+      ASSERT_TRUE(C.eval("Smalltalk at: #C put: (Smalltalk at: #C) + 1",
+                         Ok, Value));
+      ASSERT_TRUE(Ok) << Value;
+      if (I % 3 == 0) {
+        ASSERT_TRUE(C.eval("!checkpoint", Ok, Value, 120.0));
+        ASSERT_TRUE(Ok) << Value;
+      }
+    }
+    S.stop();
+  }
+
+  std::string Image = shardImagePath(DataDir, 0);
+  ASSERT_EQ(std::rename(Image.c_str(), (Image + ".1").c_str()), 0);
+  Server S(Config());
+  ASSERT_TRUE(S.start(Error)) << Error;
+  Client C;
+  ASSERT_TRUE(C.connect(S.port()));
+  ASSERT_TRUE(C.eval("Smalltalk at: #C", Ok, Value, 120.0));
+  EXPECT_TRUE(Ok) << Value;
+  EXPECT_EQ(Value, "9");
   S.stop();
 }
 

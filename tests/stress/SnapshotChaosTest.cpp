@@ -10,12 +10,10 @@
 /// `io.write.fail`/`io.fsync.fail` storms must never leave the target
 /// path unloadable — after every storm the image at the target (or a
 /// rotated generation via the recovery ladder) loads and holds the last
-/// successfully committed state. The auto-checkpointer runs its periodic
-/// stop-the-world saves against live mutators under the same faults.
+/// successfully committed state.
 ///
 //===----------------------------------------------------------------------===//
 
-#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -27,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include "TestVm.h"
-#include "image/Checkpoint.h"
 #include "image/Snapshot.h"
 #include "stress/StressSupport.h"
 
@@ -196,48 +193,6 @@ TEST(SnapshotChaosTest, RoundTripsWithRunningWorkersUnderChaos) {
         EXPECT_EQ(M.smallInt(), 750);
       }).join();
     }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Auto-checkpointer against live mutators and injected faults
-//===----------------------------------------------------------------------===//
-
-TEST(SnapshotChaosTest, AutoCheckpointerSurvivesFaultsAgainstLiveMutators) {
-  const int Evals = stressScale(60, 15);
-  for (uint64_t Seed : chaosSeeds()) {
-    SCOPED_TRACE(seedTag(Seed));
-    std::string Path = tempPath("autochaos.image");
-    removeGenerations(Path, 1);
-    std::thread([&] {
-      ScopedChaos Chaos(Seed);
-      chaos::armFail("io.write.fail", 150, Seed);
-      TestVm T{VmConfig::multiprocessor(2)};
-      T.vm().startInterpreters();
-      T.eval("Smalltalk at: #Marker put: 31. ^1");
-      Checkpointer::Options Opts;
-      Opts.Path = Path;
-      Opts.EveryMs = 5;
-      Opts.KeepGenerations = 1;
-      Opts.EmergencyOnPanic = false;
-      {
-        Checkpointer Ck(T.vm(), Opts);
-        // The driver keeps mutating while the checkpointer stops the
-        // world every few milliseconds under injected write faults.
-        for (int I = 0; I < Evals; ++I)
-          T.evalInt("^(1 to: 40) inject: 0 into: [:a :b | a + b]");
-        // Wait (safely parked) for at least one committed checkpoint.
-        chaos::disarmFail();
-        BlockedRegion B(T.vm().memory().safepoint());
-        auto Deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(30);
-        while (Ck.checkpointsTaken() < 1 &&
-               std::chrono::steady_clock::now() < Deadline)
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        EXPECT_GE(Ck.checkpointsTaken(), 1u) << Ck.lastError();
-      }
-    }).join();
-    EXPECT_EQ(loadedMarker(Path), 31);
   }
 }
 
