@@ -266,7 +266,7 @@ int main(int argc, char **argv) {
   // Recovery must have happened and every shard must be serving again.
   uint64_t Restarts = 0;
   bool AllServing = true;
-  for (const auto &H : S.pool().health()) {
+  for (const auto &H : S.health()) {
     Restarts += H.Restarts;
     AllServing = AllServing && H.State == "serving";
   }
@@ -318,7 +318,7 @@ int main(int argc, char **argv) {
       Storm.push_back(std::move(C));
   }
   uint64_t RestartsBefore = 0, ExpiredBefore = 0;
-  for (const auto &H : S.pool().health()) {
+  for (const auto &H : S.health()) {
     RestartsBefore += H.Restarts;
     ExpiredBefore += H.DeadlineExpired;
   }
@@ -360,7 +360,7 @@ int main(int argc, char **argv) {
                   Value == "42";
   }
   uint64_t RestartsAfter = 0, ExpiredAfter = 0;
-  for (const auto &H : S.pool().health()) {
+  for (const auto &H : S.health()) {
     RestartsAfter += H.Restarts;
     ExpiredAfter += H.DeadlineExpired;
   }
@@ -408,7 +408,7 @@ int main(int argc, char **argv) {
   std::atomic<uint64_t> CrashAcked{0}, CrashMismatches{0},
       CrashTransport{0}, CrashDone{0};
   uint64_t CrashRestartsBefore = 0;
-  for (const auto &H : S.pool().health())
+  for (const auto &H : S.health())
     CrashRestartsBefore += H.Restarts;
   auto CrashStart = std::chrono::steady_clock::now();
   {
@@ -483,7 +483,7 @@ int main(int argc, char **argv) {
                            .count();
   uint64_t CrashRestartsAfter = 0, Replayed = 0, DedupHits = 0;
   bool CrashAllServing = true;
-  for (const auto &H : S.pool().health()) {
+  for (const auto &H : S.health()) {
     CrashRestartsAfter += H.Restarts;
     Replayed += H.Replayed;
     DedupHits += H.DedupHits;

@@ -140,10 +140,7 @@ uint8_t *ObjectMemory::allocateNewRaw(size_t TotalBytes, bool &WentOld) {
     if (Config.FullGcEnabled &&
         Old.used() >= FullGcTrigger.load(std::memory_order_relaxed))
       fullCollect();
-    uint8_t *Mem = allocateOldRescuing(TotalBytes);
-    if (Mem)
-      TenuredBytesCtr.add(TotalBytes);
-    return Mem;
+    return allocateOldRescuing(TotalBytes);
   }
 
   MutatorContext &M = mutator();
@@ -198,10 +195,7 @@ uint8_t *ObjectMemory::allocateNewRaw(size_t TotalBytes, bool &WentOld) {
       // collection, runs inside the rescue when old space refuses).
       WentOld = true;
       LadderGrowCtr.add();
-      uint8_t *Mem = allocateOldRescuing(TotalBytes);
-      if (Mem)
-        TenuredBytesCtr.add(TotalBytes);
-      return Mem;
+      return allocateOldRescuing(TotalBytes);
     }
     --ScavengesLeft;
     LadderScavengeCtr.add();
@@ -369,7 +363,6 @@ void ObjectMemory::performScavenge(bool AllowFullGc) {
   ScavengesCtr.add();
   BytesCopiedCtr.add(Scav.bytesCopied());
   BytesTenuredCtr.add(Scav.bytesTenured());
-  TenuredBytesCtr.add(Scav.bytesTenured());
   ObjectsCopiedCtr.add(Scav.objectsCopied());
   ObjectsTenuredCtr.add(Scav.objectsTenured());
   Span.setArg(Scav.bytesCopied());

@@ -403,10 +403,6 @@ private:
   Counter BytesTenuredCtr{"gc.bytes.tenured"};
   Counter ObjectsCopiedCtr{"gc.objects.copied"};
   Counter ObjectsTenuredCtr{"gc.objects.tenured"};
-  /// Total old-space pressure: scavenger tenuring plus oversized
-  /// allocations that bypass eden — the same byte stream the full-GC
-  /// trigger watches, so the telemetry report and the heuristic agree.
-  Counter TenuredBytesCtr{"gc.tenured.bytes"};
   Counter FullGcsCtr{"gc.full.collections"};
   Counter FullSweptCtr{"gc.full.swept.bytes"};
   /// Old bytes surviving the most recent full collection.

@@ -67,14 +67,15 @@ std::string profilerBreakdownJson() {
 }
 } // namespace
 
-std::string serve::buildHealthJson(ShardPool &Pool, ServeStats &Stats,
+std::string serve::buildHealthJson(const std::vector<Shard::Health> &Shards,
+                                   ServeStats &Stats,
                                    const std::vector<ShardGateView>
                                        *Gates) {
   std::string Out = "{\"shards\":[";
   bool First = true;
   uint64_t QueueDepth = 0, Requests = 0, Batches = 0;
   uint64_t Errors = Stats.Errors.value(); // the front-end's own ERRs
-  for (const Shard::Health &H : Pool.health()) {
+  for (const Shard::Health &H : Shards) {
     if (!First)
       Out += ',';
     First = false;

@@ -25,7 +25,6 @@
 
 #include "serve/ServeStats.h"
 #include "serve/Shard.h"
-#include "serve/ShardPool.h"
 
 namespace mst {
 namespace serve {
@@ -40,10 +39,11 @@ struct ShardGateView {
 };
 
 /// Renders the one-line aggregate health JSON. \p Stats is the
-/// front-end's; each shard's counts come from Pool. \p Gates, when
+/// front-end's; each shard's counts come from \p Shards. \p Gates, when
 /// non-null, is indexed by shard id (the caller guarantees one entry per
 /// shard).
-std::string buildHealthJson(ShardPool &Pool, ServeStats &Stats,
+std::string buildHealthJson(const std::vector<Shard::Health> &Shards,
+                            ServeStats &Stats,
                             const std::vector<ShardGateView> *Gates =
                                 nullptr);
 

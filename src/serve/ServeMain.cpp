@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serving daemon: boots a shard pool of Smalltalk images and serves
-/// the line protocol on a loopback TCP port until SIGTERM/SIGINT, which
-/// triggers a graceful drain (in-flight requests finish, every shard
-/// checkpoints). Try it:
+/// The serving daemon: boots N shards, one Smalltalk image each, and
+/// serves the line protocol on a loopback TCP port until SIGTERM/SIGINT,
+/// which triggers a graceful drain (in-flight requests finish, every
+/// shard checkpoints). Try it:
 ///
 ///   ./src/serve/mst_serve --port=7777 --shards=4 --data-dir=/tmp/mst &
 ///   printf '3 + 4 * 2\n!health\n!quit\n' | nc localhost 7777
@@ -94,6 +94,10 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "mst_serve: --journal requires --data-dir\n");
     return 2;
   }
+  if (Config.Pool.Shards == 0) {
+    std::fprintf(stderr, "mst_serve: --shards must be at least 1\n");
+    return 2;
+  }
   if (Config.MaxPipeline == 0) {
     // A session would park after its first line with nothing in flight
     // to resume it.
@@ -116,7 +120,7 @@ int main(int argc, char **argv) {
     return 1;
   }
   std::printf("mst_serve: %u shards serving on 127.0.0.1:%u\n",
-              S.pool().size(), S.port());
+              S.shardCount(), S.port());
   std::fflush(stdout);
 
   // Signal handlers only set a flag; the drain itself runs on a normal
@@ -131,7 +135,7 @@ int main(int argc, char **argv) {
   }
   S.stop();
   uint64_t Served = 0;
-  for (const Shard::Health &H : S.pool().health())
+  for (const Shard::Health &H : S.health())
     Served += H.Requests;
   std::printf("mst_serve: drained, %llu requests served; bye\n",
               static_cast<unsigned long long>(Served));

@@ -55,7 +55,7 @@
 ///                           write leaves bytes for the next (counter)
 ///   serve.sessions.active   open client sessions (gauge)
 ///
-///   ShardPool:
+///   Server (one per process, over its shards):
 ///   serve.queue.depth       requests queued across all batchers (gauge)
 ///
 //===----------------------------------------------------------------------===//

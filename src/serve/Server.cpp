@@ -1,4 +1,4 @@
-//===-- serve/Server.cpp - Socket front-end for the shard pool ------------===//
+//===-- serve/Server.cpp - Socket front-end and its shards ----------------===//
 //
 // Part of the Multiprocessor Smalltalk reproduction. MIT license.
 //
@@ -28,6 +28,9 @@ namespace {
 /// Longest request line accepted before the session is dropped.
 constexpr size_t MaxLine = 64 * 1024;
 
+/// How long start() waits for each shard's VM to boot.
+constexpr double BootTimeoutSec = 300.0;
+
 // Same clock the shards stamp completions with — serve.latency is the
 // difference, so the two sides must share an epoch.
 uint64_t nowNs() { return Telemetry::nowNs(); }
@@ -43,25 +46,45 @@ Server::Server(ServerConfig C) : Config(std::move(C)) {}
 Server::~Server() { stop(); }
 
 bool Server::start(std::string &Error) {
+  if (Config.Pool.Shards == 0) {
+    Error = "no shards configured";
+    return false;
+  }
   // Shard threads publish finished batches here; the pipe write makes
   // poll() return so the loop can flush them to sockets.
-  Pool = std::make_unique<ShardPool>(Config.Pool, [this](Batch &&B) {
+  Shard::ResponseSink Sink = [this](Batch &&B) {
     {
       std::lock_guard<std::mutex> Lock(RespMutex);
       Responses.push_back(std::move(B));
     }
     wake();
+  };
+  for (unsigned I = 0; I < Config.Pool.Shards; ++I)
+    Shards.push_back(std::make_unique<Shard>(Config.Pool, I, Sink));
+  QueueDepth = std::make_unique<Gauge>("serve.queue.depth", [this] {
+    uint64_t N = 0;
+    for (auto &Sh : Shards)
+      N += Sh->queueDepth();
+    return N;
   });
-  if (!Pool->start(Error)) {
-    Pool->stop();
-    return false;
+  // Every shard boots at once; each thread loads its own image.
+  for (auto &Sh : Shards)
+    Sh->start();
+  for (auto &Sh : Shards) {
+    if (!Sh->waitReady(BootTimeoutSec)) {
+      Error = "shard " + std::to_string(Sh->index()) +
+              " failed to become ready within " +
+              std::to_string(BootTimeoutSec) + "s";
+      stopShards();
+      return false;
+    }
   }
-  Gates.assign(Pool->size(), ShardGate{});
+  Gates.assign(Shards.size(), ShardGate{});
 
   int Pipe[2];
   if (pipe(Pipe) != 0) {
     Error = "pipe: " + std::string(strerror(errno));
-    Pool->stop();
+    stopShards();
     return false;
   }
   WakeRd = Pipe[0];
@@ -72,7 +95,7 @@ bool Server::start(std::string &Error) {
   ListenFd = socket(AF_INET, SOCK_STREAM, 0);
   if (ListenFd < 0) {
     Error = "socket: " + std::string(strerror(errno));
-    Pool->stop();
+    stopShards();
     return false;
   }
   int One = 1;
@@ -86,7 +109,7 @@ bool Server::start(std::string &Error) {
     Error = "bind/listen: " + std::string(strerror(errno));
     close(ListenFd);
     ListenFd = -1;
-    Pool->stop();
+    stopShards();
     return false;
   }
   socklen_t Len = sizeof Addr;
@@ -119,8 +142,7 @@ void Server::stop() {
   requestDrain();
   if (LoopThread.joinable())
     LoopThread.join();
-  if (Pool)
-    Pool->stop(); // no-op when the loop already stopped it
+  stopShards(); // no-op when the loop already stopped them
   if (ListenFd >= 0) {
     close(ListenFd);
     ListenFd = -1;
@@ -130,6 +152,19 @@ void Server::stop() {
     close(WakeWr);
     WakeRd = WakeWr = -1;
   }
+}
+
+void Server::stopShards() {
+  for (auto &Sh : Shards)
+    Sh->stop();
+}
+
+std::vector<Shard::Health> Server::health() {
+  std::vector<Shard::Health> Out;
+  Out.reserve(Shards.size());
+  for (auto &Sh : Shards)
+    Out.push_back(Sh->health());
+  return Out;
 }
 
 void Server::wake() {
@@ -242,14 +277,14 @@ void Server::loopMain() {
     }
   }
 
-  // Loop exit: everything drained (or deadline hit). Stop the pool —
-  // each shard takes its final checkpoint on the way out.
+  // Loop exit: everything drained (or deadline hit). Stop the shards —
+  // each takes its final checkpoint on the way out.
   for (auto It = Sessions.begin(); It != Sessions.end();) {
     close(It->second.Fd);
     Stats.ActiveSessions.fetch_sub(1, std::memory_order_relaxed);
     It = Sessions.erase(It);
   }
-  Pool->stop();
+  stopShards();
   {
     std::lock_guard<std::mutex> Lock(StopMutex);
     Stopped = true;
@@ -270,7 +305,7 @@ void Server::acceptReady() {
     S.Fd = Fd;
     S.Id = Id;
     S.ClientId = Id;
-    S.Shard = Pool->shardFor(Id);
+    S.Shard = shardFor(Id);
     Sessions.emplace(Id, std::move(S));
     Stats.ActiveSessions.fetch_add(1, std::memory_order_relaxed);
     Stats.TotalSessions.fetch_add(1, std::memory_order_relaxed);
@@ -337,7 +372,7 @@ void Server::handleLine(Session &S, const std::string &Line) {
     }
     S.ClientId = R.SessionBind;
     S.Bound = true;
-    S.Shard = Pool->shardFor(R.SessionBind);
+    S.Shard = shardFor(R.SessionBind);
     S.Out += formatResponse(true, R.Tag,
                             "session bound to client " +
                                 std::to_string(R.SessionBind) + " shard " +
@@ -356,11 +391,11 @@ void Server::handleLine(Session &S, const std::string &Line) {
       Views[I].ConsecTimeouts = G.ConsecTimeouts;
     }
     S.Out += formatResponse(true, R.Tag,
-                            buildHealthJson(*Pool, Stats, &Views));
+                            buildHealthJson(health(), Stats, &Views));
     return;
   }
   case Request::Kind::Kill: {
-    if (R.KillShard >= Pool->size()) {
+    if (R.KillShard >= Shards.size()) {
       S.Out += formatResponse(false, R.Tag, "no such shard");
       return;
     }
@@ -371,7 +406,7 @@ void Server::handleLine(Session &S, const std::string &Line) {
     Q.Kind = Request::Kind::Kill;
     Q.Shard = R.KillShard;
     Q.EnqueueNs = nowNs();
-    if (!Pool->submit(R.KillShard, std::move(Q))) {
+    if (!Shards[R.KillShard]->submit(std::move(Q))) {
       S.Out += formatResponse(false, R.Tag, "shard unavailable");
       return;
     }
@@ -381,7 +416,7 @@ void Server::handleLine(Session &S, const std::string &Line) {
   }
   case Request::Kind::Checkpoint: {
     // One response line per shard, via each shard's own queue.
-    for (unsigned I = 0; I < Pool->size(); ++I) {
+    for (unsigned I = 0; I < Shards.size(); ++I) {
       QueuedRequest Q;
       Q.SessionId = S.Id;
       Q.Seq = S.NextSeq++;
@@ -389,7 +424,7 @@ void Server::handleLine(Session &S, const std::string &Line) {
       Q.Kind = Request::Kind::Checkpoint;
       Q.Shard = I;
       Q.EnqueueNs = nowNs();
-      if (Pool->submit(I, std::move(Q))) {
+      if (Shards[I]->submit(std::move(Q))) {
         ++Gates[I].Outstanding;
         ++S.Pending;
       } else {
@@ -452,7 +487,7 @@ void Server::handleLine(Session &S, const std::string &Line) {
     if (DeadlineMs != 0)
       Q.DeadlineNs = Q.EnqueueNs + DeadlineMs * 1000000;
     uint64_t Seq = Q.Seq;
-    if (!Pool->submit(S.Shard, std::move(Q))) {
+    if (!Shards[S.Shard]->submit(std::move(Q))) {
       S.Out += formatResponse(false, R.Tag, "shard unavailable");
       Stats.Errors.add(1);
       return;

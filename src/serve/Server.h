@@ -1,4 +1,4 @@
-//===-- serve/Server.h - Socket front-end for the shard pool ----*- C++ -*-===//
+//===-- serve/Server.h - Socket front-end and its shards --------*- C++ -*-===//
 //
 // Part of the Multiprocessor Smalltalk reproduction. MIT license.
 //
@@ -6,10 +6,11 @@
 ///
 /// \file
 /// The serving layer's front door: a poll()-based event loop on one
-/// thread multiplexing thousands of loopback TCP sessions onto the shard
-/// pool. The loop owns every socket and Session; shard threads deliver
-/// completed batches through a locked queue plus a wake pipe, so the only
-/// cross-thread traffic is enqueue/drain of finished work.
+/// thread multiplexing thousands of loopback TCP sessions onto N shards,
+/// which the Server owns (see serve/Shard.h). The loop owns every socket
+/// and Session; shard threads deliver completed batches through a locked
+/// queue plus a wake pipe, so the only cross-thread traffic is
+/// enqueue/drain of finished work.
 ///
 ///   accept -> Session (pinned to SessionId % shards)
 ///   readable -> frame lines -> parse -> RequestBatcher[shard]
@@ -19,7 +20,7 @@
 /// Graceful lifecycle: requestDrain() (SIGTERM, or the `!drain` admin
 /// command) stops accepting, stops reading, lets in-flight requests
 /// finish and flush, closes each session as it empties, then stops the
-/// pool — which checkpoints every shard. A drain deadline force-closes
+/// shards — each takes a final checkpoint. A drain deadline force-closes
 /// stragglers so shutdown is bounded.
 ///
 //===----------------------------------------------------------------------===//
@@ -38,8 +39,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/Telemetry.h"
 #include "serve/Session.h"
-#include "serve/ShardPool.h"
+#include "serve/Shard.h"
 
 namespace mst {
 namespace serve {
@@ -48,6 +50,7 @@ struct ServerConfig {
   /// TCP port to listen on (loopback only); 0 picks an ephemeral port —
   /// read it back with port().
   uint16_t Port = 0;
+  /// What every shard is built from.
   PoolConfig Pool;
   /// Outstanding requests per session before its reads are parked; at
   /// least 1.
@@ -77,8 +80,9 @@ public:
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;
 
-  /// Boots the shards, binds the listener, starts the event loop.
-  /// \returns false with \p Error set on failure.
+  /// Boots the shards (each shard thread loads its own image; every one
+  /// gets 300 s), binds the listener, starts the event loop. \returns
+  /// false with \p Error set on failure, also for zero shards.
   bool start(std::string &Error);
 
   /// The bound port (valid after start()).
@@ -97,7 +101,12 @@ public:
   void stop();
 
   ServeStats &stats() { return Stats; }
-  ShardPool &pool() { return *Pool; }
+
+  /// Shards booted by start().
+  unsigned shardCount() const { return static_cast<unsigned>(Shards.size()); }
+
+  /// Every shard's point-in-time health, indexed by shard.
+  std::vector<Shard::Health> health();
 
 private:
   void loopMain();
@@ -109,10 +118,24 @@ private:
   void closeSession(uint64_t Id);
   void deliverResponses();
   void wake();
+  /// Stops every shard; Shard::stop is idempotent.
+  void stopShards();
+
+  /// The shard a session is pinned to: a session's requests must all hit
+  /// the same image, since doIts mutate shard-local globals.
+  unsigned shardFor(uint64_t SessionId) const {
+    return static_cast<unsigned>(SessionId % Shards.size());
+  }
 
   ServerConfig Config;
   ServeStats Stats;
-  std::unique_ptr<ShardPool> Pool;
+  /// Built in start(); never resized after.
+  std::vector<std::unique_ptr<Shard>> Shards;
+  /// `serve.queue.depth`: requests queued across every shard's batcher.
+  /// Registered once Shards is complete, so a concurrent telemetry read
+  /// never walks a half-built vector; declared after Shards, so it is
+  /// destroyed before them.
+  std::unique_ptr<Gauge> QueueDepth;
 
   int ListenFd = -1;
   int WakeRd = -1, WakeWr = -1;

@@ -15,7 +15,7 @@
 /// Flow control: a session may pipeline requests, but past MaxPipeline
 /// outstanding the server parks its POLLIN (Paused) until responses
 /// drain to half the cap — one slow session backs up its own socket,
-/// not the shard pool.
+/// not its shard.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -37,20 +37,26 @@ bool journaledAhead(const Batch &B, size_t I) {
 }
 } // namespace
 
-Shard::Shard(ShardConfig Config, ResponseSink Sink)
-    : Config(std::move(Config)), Sink(std::move(Sink)) {}
+Shard::Shard(const PoolConfig &Config, unsigned Index, ResponseSink Sink)
+    : Config(Config), Index(Index),
+      ImagePath(Config.DataDir.empty() ? ""
+                                       : shardImagePath(Config.DataDir, Index)),
+      Sink(std::move(Sink)) {}
 
 Shard::~Shard() { stop(); }
 
 void Shard::start() {
-  if (!Config.JournalPath.empty()) {
+  if (Config.Journal && checkpointing()) {
     // Open before the shard thread exists: boot replays it and the first
     // batch appends to it. A journal that cannot open disables
     // journaling rather than the shard — the crash ladder then behaves
     // exactly as without one, which is degraded, not broken.
     Jrnl = std::make_unique<Journal>();
     std::string Err;
-    if (!Jrnl->open(Config.JournalPath, Err)) {
+    // shardNNN.image -> shardNNN.journal
+    std::string Path =
+        ImagePath.substr(0, ImagePath.size() - 6) + ".journal";
+    if (!Jrnl->open(Path, Err)) {
       noteError("journal open failed (journaling disabled): " + Err);
       Jrnl.reset();
     } else if (Jrnl->tornRepairs() > 0) {
@@ -80,7 +86,7 @@ void Shard::stop() {
 
 Shard::Health Shard::health() {
   Health H;
-  H.Index = Config.Index;
+  H.Index = Index;
   H.Generation = Generation.load(std::memory_order_relaxed);
   H.Restarts = Stats.Restarts.value();
   H.Requests = Stats.Requests.value();
@@ -120,7 +126,7 @@ void Shard::noteError(const std::string &E) {
 }
 
 /// Boots (or re-boots) this shard's VM on the shard thread, walking the
-/// recovery ladder: own committed checkpoint -> pool base image -> cold
+/// recovery ladder: own committed checkpoint -> shared base image -> cold
 /// bootstrap. A candidate that fails to load may have mutated the VM
 /// (materialization failures), so each rung starts from a freshly
 /// constructed VirtualMachine.
@@ -128,17 +134,17 @@ void Shard::bootVm() {
   auto Fresh = [this] {
     Emergency.reset();
     VM.reset();
-    VM = std::make_unique<VirtualMachine>(VmConfig::multiprocessor(1));
+    VM = std::make_unique<VirtualMachine>(VmConfig::baselineBS());
   };
   Fresh();
   bool Booted = false;
   SnapshotInfo Info;
   // A kill between a save's rotation and its rename leaves no
   // checkpoint, only `<path>.1`; the ladder boots from that.
-  if (checkpointing() && (fileExists(Config.CheckpointPath) ||
-                          fileExists(Config.CheckpointPath + ".1"))) {
+  if (checkpointing() &&
+      (fileExists(ImagePath) || fileExists(ImagePath + ".1"))) {
     std::string Err;
-    if (loadSnapshot(*VM, Config.CheckpointPath, Err, &Info)) {
+    if (loadSnapshot(*VM, ImagePath, Err, &Info)) {
       Booted = true;
     } else {
       noteError("shard checkpoint load failed: " + Err);
@@ -161,7 +167,7 @@ void Shard::bootVm() {
   // The shard's Smalltalk-visible identity; sessions read it back to
   // verify pinning ((Smalltalk at: #ShardId) is stable per session).
   VM->evaluate("Smalltalk at: #ShardId put: " +
-               std::to_string(Config.Index));
+               std::to_string(Index));
 
   // The loaded image is what the crash ladder would load again.
   Unsaved = false;
@@ -176,12 +182,11 @@ void Shard::bootVm() {
 
   // Rename this thread's profiler slot so state breakdowns attribute
   // samples per shard rather than to one merged "driver".
-  Profiler::registerThread("shard" + std::to_string(Config.Index),
+  Profiler::registerThread("shard" + std::to_string(Index),
                            static_cast<int>(VM->config().Interpreters));
 
   if (checkpointing())
-    Emergency = std::make_unique<EmergencySnapshot>(*VM,
-                                                    Config.CheckpointPath);
+    Emergency = std::make_unique<EmergencySnapshot>(*VM, ImagePath);
   // First boot only: rebooting must not push an overdue auto-checkpoint
   // further out, or a kill storm arriving faster than CheckpointEveryMs
   // starves checkpoints forever — the journal never truncates and every
@@ -228,7 +233,7 @@ void Shard::processBatch(Batch &B) {
     if (Q.Kind == Request::Kind::Kill) {
       Q.Done = true;
       Q.Ok = true;
-      Q.Value = "shard " + std::to_string(Config.Index) +
+      Q.Value = "shard " + std::to_string(Index) +
                 " killed; restarting from last committed checkpoint";
       failFrom(B, I + 1);
       restartVm("admin kill");
@@ -251,11 +256,11 @@ void Shard::processBatch(Batch &B) {
       std::string Err;
       Q.Done = true;
       Q.Ok = checkpointing() && checkpoint(Err);
-      Q.Value = "shard " + std::to_string(Config.Index);
+      Q.Value = "shard " + std::to_string(Index);
       if (!checkpointing())
         Q.Value += ": checkpointing disabled";
       else if (Q.Ok)
-        Q.Value += " checkpointed to " + Config.CheckpointPath;
+        Q.Value += " checkpointed to " + ImagePath;
       else
         Q.Value += " checkpoint failed: " + Err;
       break;
@@ -321,7 +326,7 @@ void Shard::failFrom(Batch &B, size_t First) {
       continue; // already answered (dedup hit / journal refusal)
     Q.Done = true;
     Q.Ok = false;
-    Q.Value = "shard " + std::to_string(Config.Index) +
+    Q.Value = "shard " + std::to_string(Index) +
               " crashed; request not executed (shard restarted from its "
               "last committed checkpoint)";
     Stats.Errors.add();
@@ -381,7 +386,7 @@ void Shard::shardMain() {
   }
 
   // Graceful lifecycle: SIGTERM/stop() checkpoints every shard before
-  // the pool goes down.
+  // the server goes down.
   std::string Err;
   if (checkpointing())
     checkpoint(Err);
@@ -577,7 +582,7 @@ bool Shard::checkpoint(std::string &Err) {
     O.HasJournalMark = true;
     O.JournalMark = Jrnl->endPos();
   }
-  if (!saveSnapshot(*VM, Config.CheckpointPath, Err, O)) {
+  if (!saveSnapshot(*VM, ImagePath, Err, O)) {
     noteError("checkpoint failed: " + Err);
     return false;
   }

@@ -14,14 +14,17 @@
 ///   request -> deliver responses to the front-end sink
 ///
 /// Batches run strictly in order while the next batch accumulates in the
-/// batcher.
+/// batcher. No other thread touches the VM, so it is the paper's
+/// uniprocessor (VmConfig::baselineBS): its structure locks are no-ops,
+/// and its collections run serially on the shard thread, taking only
+/// the collectors' own per-collection locks.
 ///
 /// Recovery ladder (the serving layer's whole point of reusing the PR 5
 /// snapshot machinery): a shard boots from its own last committed
 /// checkpoint (`<dir>/shardNNN.image`, with rotated-generation fallback,
 /// also when a kill between a save's rotation and its rename left only
-/// `shardNNN.image.1`), else from the pool's prewarmed base image, else
-/// from a cold bootstrap.
+/// `shardNNN.image.1`), else from the prewarmed base image every shard
+/// shares, else from a cold bootstrap.
 /// A *crash* — the `serve.shard.crash` chaos fail point or an admin
 /// `!kill` — tears down the VM on the shard thread and walks the same
 /// ladder again; requests already queued behind the crash are answered
@@ -38,7 +41,7 @@
 /// skipped while the VM has run nothing since the last checkpoint; when
 /// one is pending, the batcher wakes an idle shard at its due time.
 ///
-/// Durability (opt-in via ShardConfig::JournalPath; see serve/Journal.h):
+/// Durability (opt-in via PoolConfig::Journal; see serve/Journal.h):
 /// the shard write-ahead-logs every Eval and fsyncs once per batch before
 /// executing it, then appends an outcome record per resolved request; the
 /// crash ladder, after loading a checkpoint, replays journaled work past
@@ -86,23 +89,27 @@ class EmergencySnapshot;
 
 namespace serve {
 
-struct ShardConfig {
-  unsigned Index = 0;
-  /// Prewarmed base image to boot from; empty = cold bootstrap.
+/// What every shard of a server is built from; each shard adds its
+/// index.
+struct PoolConfig {
+  unsigned Shards = 4;
+  /// Prewarmed base image every shard boots from; empty = cold
+  /// bootstrap per shard (slow — prefer bench_prewarm's output).
   std::string BaseImage;
-  /// This shard's checkpoint target; empty disables checkpointing (the
-  /// shard then restarts from BaseImage / bootstrap).
-  std::string CheckpointPath;
+  /// Directory for per-shard checkpoints (`shardNNN.image`, see
+  /// shardImagePath); empty disables checkpointing, and a shard then
+  /// restarts from BaseImage / bootstrap.
+  std::string DataDir;
   /// Rotated generations kept per checkpoint.
   unsigned KeepGenerations = 2;
   /// Periodic auto-checkpoint interval; 0 = only explicit checkpoints.
   uint64_t CheckpointEveryMs = 0;
-  /// Write-ahead request journal path; empty disables journaling (the
-  /// default — a crash then rolls back to the last checkpoint). With a
-  /// journal, the shard logs every Eval before its batch executes and the
-  /// crash ladder replays past the checkpoint's covered position, so
-  /// acknowledged requests survive.
-  std::string JournalPath;
+  /// Write-ahead request journaling (`shardNNN.journal` next to the
+  /// checkpoint; requires DataDir). Off, a crash rolls back to the last
+  /// checkpoint. On, the shard logs every Eval before its batch executes
+  /// and the crash ladder replays past the checkpoint's covered
+  /// position, so acknowledged requests survive.
+  bool Journal = false;
   /// Per-request deadline for replayed intents whose outcome record was
   /// lost — bounds how long a torn-tail runaway can wedge a reboot.
   uint64_t ReplayDeadlineMs = 5000;
@@ -114,7 +121,8 @@ public:
   /// shard thread; must not block long.
   using ResponseSink = std::function<void(Batch &&)>;
 
-  Shard(ShardConfig Config, ResponseSink Sink);
+  /// Shard \p Index of a server configured by \p Config.
+  Shard(const PoolConfig &Config, unsigned Index, ResponseSink Sink);
 
   /// stop() must have run (the Server guarantees it).
   ~Shard();
@@ -164,7 +172,7 @@ public:
   /// Requests waiting in the batcher (racy; telemetry/health use only).
   size_t queueDepth() { return Batcher.depth(); }
 
-  unsigned index() const { return Config.Index; }
+  unsigned index() const { return Index; }
 
 private:
   void shardMain();
@@ -178,7 +186,7 @@ private:
   void setState(const char *S);
   void noteError(const std::string &E);
 
-  // --- write-ahead journal plumbing (no-ops when JournalPath is empty) ---
+  // --- write-ahead journal plumbing (no-ops without a journal) ---
   bool journaled() const { return Jrnl != nullptr; }
   /// Before a batch executes: answer dedup hits, refuse a (client, seq)
   /// pair that an earlier request of the batch journaled, append + fsync
@@ -207,7 +215,7 @@ private:
   /// Stores the journal size and dedup size for health(); shard thread.
   void publishJournalCounts();
 
-  bool checkpointing() const { return !Config.CheckpointPath.empty(); }
+  bool checkpointing() const { return !ImagePath.empty(); }
   /// Every checkpoint this shard takes; shard thread, between requests,
   /// with a checkpoint path. Syncs the journal and stamps its end as the
   /// image's mark.
@@ -218,7 +226,10 @@ private:
   /// Between batches: the periodic checkpoint, once due.
   void maybeAutoCheckpoint();
 
-  ShardConfig Config;
+  const PoolConfig Config;
+  const unsigned Index;
+  /// `<DataDir>/shardNNN.image`; empty without a DataDir.
+  const std::string ImagePath;
   ResponseSink Sink;
   /// This shard's registry instances: the counts health() reports, and
   /// this shard's share of every serve.* total.

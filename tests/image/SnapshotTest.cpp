@@ -674,14 +674,26 @@ TEST(SnapshotTest, DirFsyncFailureAfterRenameStillCommits) {
 // --- Worker-count matrix under seeded chaos schedules ---------------------
 
 TEST(SnapshotTest, RoundTripsAcrossWorkerConfigsUnderChaos) {
-  for (unsigned SaveK : {1u, 4u}) {
+  // Each image loads into another configuration: the image is
+  // configuration-independent. Serving shards run baseline BS and boot
+  // from base images MS(1) saved; their own images may load into MS.
+  struct Pair {
+    const char *Name;
+    VmConfig Save, Load;
+  };
+  const Pair Pairs[] = {
+      {"ms1->ms4", VmConfig::multiprocessor(1), VmConfig::multiprocessor(4)},
+      {"ms4->ms1", VmConfig::multiprocessor(4), VmConfig::multiprocessor(1)},
+      {"ms1->bs", VmConfig::multiprocessor(1), VmConfig::baselineBS()},
+      {"bs->ms4", VmConfig::baselineBS(), VmConfig::multiprocessor(4)},
+  };
+  for (const Pair &P : Pairs) {
     for (uint64_t Seed : {1ull, 7ull}) {
-      SCOPED_TRACE("save-workers=" + std::to_string(SaveK) + " seed=" +
-                   std::to_string(Seed));
+      SCOPED_TRACE(std::string(P.Name) + " seed=" + std::to_string(Seed));
       std::string Path = tempPath("matrix.image");
       std::thread([&] {
         chaos::enableSeed(Seed);
-        TestVm T{VmConfig::multiprocessor(SaveK)};
+        TestVm T{P.Save};
         T.vm().startInterpreters();
         unsigned Sig = T.vm().createHostSignal();
         T.vm().forkDoIt("| s | s := 0. 1 to: 200 do: [:i | s := s + i]. "
@@ -696,10 +708,8 @@ TEST(SnapshotTest, RoundTripsAcrossWorkerConfigsUnderChaos) {
       }).join();
 
       std::thread([&] {
-        // Load into the *other* worker count: the image is
-        // configuration-independent.
         chaos::enableSeed(Seed);
-        VirtualMachine VM(VmConfig::multiprocessor(SaveK == 1 ? 4 : 1));
+        VirtualMachine VM(P.Load);
         std::string Error;
         bool LoadedOk = loadSnapshot(VM, Path, Error);
         if (LoadedOk) {

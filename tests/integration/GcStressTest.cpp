@@ -24,6 +24,7 @@ VmConfig smallEden(unsigned K) {
   VmConfig C = VmConfig::multiprocessor(K);
   C.Memory.EdenBytes = 256 * 1024; // force frequent scavenges
   C.Memory.SurvivorBytes = 128 * 1024;
+  C.Memory.VerifyAfterGc = true; // walk the heap after every collection
   return C;
 }
 

@@ -296,7 +296,7 @@ TEST_F(FullGCTest, SmallAllocationsSplitLargeFreeRunsCheaply) {
 TEST_F(FullGCTest, TenuredBytesCounterTracksOldPressure) {
   uint64_t Before = 0, After = 0;
   for (const auto &[Name, V] : Telemetry::snapshot().Counters)
-    if (Name == "gc.tenured.bytes")
+    if (Name == "gc.bytes.tenured")
       Before = V;
   // Tenure a rooted object (age reaches the threshold after two
   // scavenges with the default TenureAge=2).
@@ -305,7 +305,7 @@ TEST_F(FullGCTest, TenuredBytesCounterTracksOldPressure) {
   OM.scavengeNow();
   ASSERT_TRUE(Roots[0].object()->isOld());
   for (const auto &[Name, V] : Telemetry::snapshot().Counters)
-    if (Name == "gc.tenured.bytes")
+    if (Name == "gc.bytes.tenured")
       After = V;
   EXPECT_GE(After - Before, sizeof(ObjectHeader) + 4 * sizeof(Oop));
 }

@@ -130,7 +130,7 @@ TEST(ServeChaos, SessionChurnSurvivesShardCrashStorm) {
   // The storm must actually have crashed shards (otherwise this test
   // proves nothing) and every shard must be serving again.
   EXPECT_GT(Crashes, 0u);
-  uint64_t Restarts = restartTotal(S.pool().health());
+  uint64_t Restarts = restartTotal(S.health());
   EXPECT_GT(Restarts, 0u);
 
   // Post-storm: both shards answer fresh sessions.
@@ -143,7 +143,7 @@ TEST(ServeChaos, SessionChurnSurvivesShardCrashStorm) {
     EXPECT_TRUE(Ok) << Value;
     EXPECT_EQ(Value, "42");
   }
-  for (const auto &H : S.pool().health())
+  for (const auto &H : S.health())
     EXPECT_EQ(H.State, "serving");
 
   S.stop();
@@ -200,7 +200,7 @@ TEST(ServeChaos, RequestStallStormAbortsRunawaysAndKeepsServing) {
   // No shard is wedged: every shard serves fresh sessions, and the
   // deadline machinery (not luck) is what killed the runaways.
   uint64_t Expired = 0;
-  for (const auto &H : S.pool().health()) {
+  for (const auto &H : S.health()) {
     EXPECT_EQ(H.State, "serving");
     Expired += H.DeadlineExpired;
   }
@@ -297,7 +297,7 @@ TEST(ServeChaos, BreakerHalfOpenProbeRacesDeadlineExpiries) {
   ASSERT_TRUE(C.evalRetry("6 * 7", Ok, Value, 240.0, 12, 30));
   EXPECT_TRUE(Ok) << Value;
   EXPECT_EQ(Value, "42");
-  auto Health = S.pool().health();
+  auto Health = S.health();
   EXPECT_EQ(Health[0].Restarts, 0u);
   EXPECT_EQ(Health[0].State, "serving");
   EXPECT_EQ(Health[0].QueueDepth, 0u);
@@ -420,7 +420,7 @@ TEST(ServeChaos, JournaledKillAndTearStormLosesNoAcknowledgedRequest) {
   EXPECT_GT(AckedTotal.load(), 0u);
 
   // The storm must actually have exercised the machinery.
-  auto Health = S.pool().health();
+  auto Health = S.health();
   uint64_t Restarts = 0, Replayed = 0;
   for (const auto &H : Health) {
     Restarts += H.Restarts;
@@ -483,7 +483,7 @@ TEST(ServeChaos, AdminKillStormKeepsOtherShardServing) {
   Traffic.join();
 
   EXPECT_GT(OtherOks.load(), 0u); // shard 1 served during the storm
-  auto Health = S.pool().health();
+  auto Health = S.health();
   EXPECT_EQ(Health[0].Restarts, 3u);
   EXPECT_EQ(Health[1].Restarts, 0u);
   for (const auto &H : Health)

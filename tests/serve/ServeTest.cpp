@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <iterator>
+#include <map>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -149,7 +150,7 @@ TEST_F(ServeTest, PipelinedAnswersShareASocketWritePerRound) {
   ASSERT_TRUE(C.bindSession(7));
   auto BatchesRun = [this] {
     uint64_t N = 0;
-    for (const Shard::Health &H : S->pool().health())
+    for (const Shard::Health &H : S->health())
       N += H.Batches;
     return N;
   };
@@ -462,7 +463,7 @@ TEST(ServeCheckpoint, PeriodicCheckpointRunsOnceAfterWorkAndNotWhileIdle) {
   // Clean again: more than ten periods pass without another image.
   std::this_thread::sleep_for(std::chrono::milliseconds(12 * PeriodMs));
   EXPECT_EQ(Saved(), 1u);
-  auto Health = S.pool().health();
+  auto Health = S.health();
   EXPECT_EQ(Health[0].Checkpoints, 1u);
   EXPECT_EQ(Health[1].Checkpoints, 0u);
   S.stop();
@@ -534,6 +535,81 @@ TEST(ServeThreads, EachShardRunsOnOneThread) {
   S.stop();
 }
 
+// --- Shards ----------------------------------------------------------------
+
+TEST(ServeShards, StartRefusesZeroShards) {
+  Server S(testServerConfig(0, makeTempDir()));
+  std::string Error;
+  EXPECT_FALSE(S.start(Error));
+  EXPECT_FALSE(Error.empty());
+}
+
+namespace {
+/// Every `lock.<name>.acquisitions` counter in the registry.
+std::map<std::string, uint64_t> lockAcquisitions() {
+  const std::string Suffix = ".acquisitions";
+  std::map<std::string, uint64_t> Out;
+  for (const auto &[Name, Value] : Telemetry::snapshot().Counters)
+    if (Name.rfind("lock.", 0) == 0 && Name.size() > Suffix.size() &&
+        Name.compare(Name.size() - Suffix.size(), Suffix.size(), Suffix) ==
+            0)
+      Out[Name] = Value;
+  return Out;
+}
+
+uint64_t counterValue(const std::string &Name) {
+  for (const auto &[N, V] : Telemetry::snapshot().Counters)
+    if (N == Name)
+      return V;
+  return 0;
+}
+} // namespace
+
+TEST(ServeShards, ServedRequestsTakeNoVmStructureLock) {
+  // Only its own thread touches a shard's VM, so the VM is the paper's
+  // uniprocessor and its structure locks (alloc, oldspace, symtab, ...)
+  // are no-ops. The collectors' own locks stay real, but they live for
+  // one collection and no snapshot sees them, so the full collection in
+  // the window checks only that it takes none of the structure locks.
+  std::string DataDir = makeTempDir();
+  ServerConfig Config = testServerConfig(2, DataDir);
+  Config.Pool.Journal = true;
+  Server S(std::move(Config));
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+  Client Reader, Writer;
+  ASSERT_TRUE(Reader.connect(S.port()));
+  ASSERT_TRUE(Writer.connect(S.port()));
+  ASSERT_TRUE(Writer.bindSession(1)); // ?seq= on every eval
+  bool Ok = false;
+  std::string Value;
+  const std::string Inc = "Smalltalk at: #C put: (Smalltalk at: #C) + 1";
+  ASSERT_TRUE(Writer.eval("Smalltalk at: #C put: 0", Ok, Value));
+  ASSERT_TRUE(Ok) << Value;
+  ASSERT_TRUE(Writer.eval(Inc, Ok, Value)); // warm-up
+  ASSERT_TRUE(Ok) << Value;
+  ASSERT_TRUE(Reader.eval("3 + 4", Ok, Value));
+  ASSERT_TRUE(Ok) << Value;
+
+  std::map<std::string, uint64_t> Before = lockAcquisitions();
+  ASSERT_FALSE(Before.empty()) << "no lock counters registered";
+  uint64_t FullGcs = counterValue("gc.full.collections");
+  for (int I = 0; I < 100; ++I) {
+    ASSERT_TRUE(Reader.eval("(Smalltalk at: #ShardId) + " +
+                                std::to_string(I),
+                            Ok, Value));
+    ASSERT_TRUE(Ok) << Value;
+    ASSERT_TRUE(Writer.eval(Inc, Ok, Value));
+    ASSERT_TRUE(Ok) << Value;
+    ASSERT_EQ(Value, std::to_string(I + 2));
+  }
+  ASSERT_TRUE(Reader.eval("nil fullCollect", Ok, Value));
+  ASSERT_TRUE(Ok) << Value;
+  EXPECT_EQ(counterValue("gc.full.collections"), FullGcs + 1);
+  EXPECT_EQ(lockAcquisitions(), Before);
+  S.stop();
+}
+
 // --- Deadlines, runaway abort, and overload control ----------------------
 
 TEST(ServeDeadline, RunawayAnswersErrWithinTwiceTheDeadline) {
@@ -580,7 +656,7 @@ TEST(ServeDeadline, RunawayAnswersErrWithinTwiceTheDeadline) {
   EXPECT_TRUE(Ok);
   EXPECT_EQ(Value, "2");
 
-  auto Health = S.pool().health();
+  auto Health = S.health();
   EXPECT_EQ(Health[0].Restarts, 0u);
   EXPECT_GE(Health[0].DeadlineExpired, 1u);
   S.stop();
@@ -630,7 +706,7 @@ TEST(ServeOverload, QueueBudgetShedsAndRetrySucceeds) {
   ASSERT_TRUE(C.evalRetry("2 + 2", Ok, Value, 240.0));
   EXPECT_TRUE(Ok) << Value;
   EXPECT_EQ(Value, "4");
-  EXPECT_EQ(S.pool().health()[0].Restarts, 0u);
+  EXPECT_EQ(S.health()[0].Restarts, 0u);
   S.stop();
 }
 
@@ -713,7 +789,7 @@ TEST(ServeJournal, KillPreservesAcknowledgedUncheckpointedState) {
   ASSERT_TRUE(Ok) << Value;
   EXPECT_EQ(Value, "99") << "acknowledged write lost across the crash";
 
-  auto Health = S.pool().health();
+  auto Health = S.health();
   EXPECT_GE(Health[0].Replayed, 1u);
   EXPECT_GT(Health[0].JournalBytes, 0u);
 
@@ -768,7 +844,7 @@ TEST(ServeJournal, BoundSessionResendIsAnsweredFromDedupNotReExecuted) {
   EXPECT_EQ(Value, "1") << "dedup failed: the increment ran twice";
   // The shard counts the dedup answer as one of its requests, exactly
   // once: set, increment, resend, read.
-  auto Health = S.pool().health();
+  auto Health = S.health();
   EXPECT_EQ(Health[1].Requests, 4u);
   EXPECT_EQ(Health[1].DedupHits, 1u);
   EXPECT_EQ(Health[0].Requests, 0u);
@@ -1018,7 +1094,7 @@ TEST(ServeJournal, ReplayAnswersATimedOutRequestWithoutReRunningIt) {
                 std::chrono::steady_clock::now() - T0)
                 .count();
   EXPECT_LT(Ms, 2500) << "replay re-ran the runaway up to its 5 s deadline";
-  EXPECT_EQ(S.pool().health()[0].Replayed, 0u);
+  EXPECT_EQ(S.health()[0].Replayed, 0u);
   S.stop();
 }
 
@@ -1045,7 +1121,7 @@ TEST(ServeJournal, DistinctSeqPairsInOneBatchBothExecute) {
   ASSERT_TRUE(Ok) << Value;
 
   // The runaway holds the shard; both increments queue behind it.
-  uint64_t Batches = S.pool().health()[0].Batches;
+  uint64_t Batches = S.health()[0].Batches;
   ASSERT_TRUE(Busy.sendLine("@busy?deadline=500 [true] whileTrue."));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   const std::string Inc = " Smalltalk at: #C put: (Smalltalk at: #C) + 1";
@@ -1057,7 +1133,7 @@ TEST(ServeJournal, DistinctSeqPairsInOneBatchBothExecute) {
     EXPECT_TRUE(Ok) << Tag << ": " << Value;
   }
   ASSERT_TRUE(Busy.recvLine(Line, 120.0));
-  EXPECT_EQ(S.pool().health()[0].Batches - Batches, 2u)
+  EXPECT_EQ(S.health()[0].Batches - Batches, 2u)
       << "the two increments did not share a batch";
   ASSERT_TRUE(Busy.eval("Smalltalk at: #C", Ok, Value));
   ASSERT_TRUE(Ok) << Value;
@@ -1084,7 +1160,7 @@ TEST(ServeJournal, ResendInTheSameBatchIsRefusedAsInFlight) {
   ASSERT_TRUE(Busy.eval("Smalltalk at: #C put: 0", Ok, Value));
   ASSERT_TRUE(Ok) << Value;
 
-  uint64_t Batches = S.pool().health()[0].Batches;
+  uint64_t Batches = S.health()[0].Batches;
   ASSERT_TRUE(Busy.sendLine("@busy?deadline=500 [true] whileTrue."));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   const std::string Inc =
@@ -1099,7 +1175,7 @@ TEST(ServeJournal, ResendInTheSameBatchIsRefusedAsInFlight) {
   EXPECT_FALSE(Ok);
   EXPECT_EQ(Value, "overloaded: request seq 5 still in flight; retry later");
   ASSERT_TRUE(Busy.recvLine(Line, 120.0));
-  EXPECT_EQ(S.pool().health()[0].Batches - Batches, 2u)
+  EXPECT_EQ(S.health()[0].Batches - Batches, 2u)
       << "the resend did not share its original's batch";
   ASSERT_TRUE(Busy.eval("Smalltalk at: #C", Ok, Value));
   ASSERT_TRUE(Ok) << Value;
