@@ -49,6 +49,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "objmem/GcWork.h"
 #include "objmem/Safepoint.h"
 #include "obs/Histogram.h"
 #include "obs/Telemetry.h"
@@ -218,25 +219,9 @@ private:
     for (size_t Scan = 0; Scan < Objects.size(); ++Scan) {
       ObjectHeader *H = Objects[Scan].object();
       Enqueue(H->classOop());
-      if (H->Format == ObjectFormat::Bytes)
-        continue;
-      for (uint32_t I = 0; I < liveSlots(H); ++I)
+      for (uint32_t I = 0; I < gc::liveSlots(H); ++I)
         Enqueue(H->slots()[I]);
     }
-  }
-
-  /// Contexts are serialized only up to their stack pointer (dead slots
-  /// may hold junk the interpreter never cleared); everything else in
-  /// full.
-  static uint32_t liveSlots(ObjectHeader *H) {
-    uint32_t Live = H->SlotCount;
-    if (H->Format == ObjectFormat::Context) {
-      Oop Sp = H->slots()[ContextSpSlotIndex];
-      if (Sp.isSmallInt() && Sp.smallInt() >= 0)
-        Live = std::min<uint32_t>(
-            H->SlotCount, static_cast<uint32_t>(Sp.smallInt()) + 1);
-    }
-    return Live;
   }
 
   void writeObjects(Buf &B) {
@@ -255,7 +240,7 @@ private:
           B.put(H->bytes(), H->ByteLength);
         continue;
       }
-      uint32_t Live = liveSlots(H);
+      uint32_t Live = gc::liveSlots(H);
       B.putU32(Live);
       for (uint32_t I = 0; I < Live; ++I)
         B.putU64(encodeRef(H->slots()[I], Ids));
@@ -886,7 +871,7 @@ bool Loader::materialize(std::string &Error) {
   OM.ensureHashCounterAbove(MaxHash);
 
   // Pass 2: patch classes and slots (all references pre-validated).
-  std::vector<Oop> NeedsNilFill;
+  std::vector<size_t> NeedsNilFill;
   for (size_t I = 0; I < Records.size(); ++I) {
     const Rec &Rc = Records[I];
     ObjectHeader *H = Loaded[I].object();
@@ -896,7 +881,7 @@ bool Loader::materialize(std::string &Error) {
     // Unserialized context slots (beyond sp) become nil once the known
     // nil exists (after the roots rebind below).
     if (H->Format != ObjectFormat::Bytes && Rc.Live < H->SlotCount)
-      NeedsNilFill.push_back(Loaded[I]);
+      NeedsNilFill.push_back(I);
   }
 
   // Rebind the well-known table, then nil-fill the dead context slots.
@@ -910,14 +895,9 @@ bool Loader::materialize(std::string &Error) {
   }
   OM.setNil(VM.model().known().NilObj);
   Oop Nil = VM.model().known().NilObj;
-  for (Oop O : NeedsNilFill) {
-    ObjectHeader *H = O.object();
-    uint32_t Live = H->SlotCount;
-    Oop Sp = H->slots()[ContextSpSlotIndex];
-    if (Sp.isSmallInt() && Sp.smallInt() >= 0)
-      Live = std::min<uint32_t>(
-          H->SlotCount, static_cast<uint32_t>(Sp.smallInt()) + 1);
-    for (uint32_t S = Live; S < H->SlotCount; ++S)
+  for (size_t I : NeedsNilFill) {
+    ObjectHeader *H = Loaded[I].object();
+    for (uint32_t S = Records[I].Live; S < H->SlotCount; ++S)
       H->slots()[S] = Nil;
   }
 

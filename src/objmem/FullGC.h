@@ -23,9 +23,11 @@
 /// rebuilt during the sweep from surviving old→young pointers.
 ///
 /// Marking fans out over FullGcWorkers threads with per-worker mark stacks
-/// and work-stealing; sweeping parallelizes over old-space chunks, threads
-/// reclaimed blocks onto OldSpace's per-size-class free lists, and
-/// coalesces adjacent dead runs.
+/// and work-stealing (GcWork.h, shared with the scavenger); sweeping
+/// parallelizes over old-space chunks, threads reclaimed blocks onto
+/// OldSpace's per-size-class free lists, and coalesces adjacent dead runs.
+/// Each worker keeps its own sweep results, summed after the join, so a
+/// serial collection (one worker, or any BS heap) takes no lock of its own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,11 +37,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
-#include "objmem/ObjectHeader.h"
-#include "vkernel/SpinLock.h"
+#include "objmem/GcWork.h"
 
 namespace mst {
 
@@ -56,22 +56,17 @@ public:
   void run();
 
   /// \returns bytes of freshly dead objects returned to the free lists.
-  size_t sweptBytes() const {
-    return Swept.load(std::memory_order_relaxed);
-  }
+  size_t sweptBytes() const { return Swept; }
   /// \returns bytes of old objects that survived the collection.
-  size_t liveBytes() const { return Live.load(std::memory_order_relaxed); }
+  size_t liveBytes() const { return Live; }
 
 private:
-  /// Per-worker marking state. The stack is locked (always-on, even in the
-  /// baseline build — these locks belong to the collector, not the paper's
-  /// serialization experiment) so thieves can steal from it; the owner
-  /// pops from the back, thieves take from the front.
-  struct Worker {
-    SpinLock StackLock{true, "fullgc.stack"};
-    std::vector<ObjectHeader *> Stack;
-    /// Remembered-set candidates found by this worker's sweep.
-    std::vector<ObjectHeader *> RemsetOut;
+  /// What one worker's sweep found.
+  struct alignas(64) SweepOut {
+    /// Survivors that still reference young objects.
+    std::vector<ObjectHeader *> Remembered;
+    size_t Swept = 0;
+    size_t Live = 0;
   };
 
   /// Marks \p H if old and unmarked, pushing it on worker \p W's stack.
@@ -85,28 +80,19 @@ private:
   /// worker \p W's stack.
   void traceObject(ObjectHeader *Obj, unsigned W);
 
-  /// Pops work for worker \p W, stealing from a sibling when its own
-  /// stack is dry. \returns nullptr when nothing was found anywhere.
-  ObjectHeader *popOrSteal(unsigned W);
-
-  /// Drains mark work until global quiescence.
-  void markLoop(unsigned W);
-
   /// Claims and sweeps chunks until none remain.
   void sweepLoop(unsigned W);
 
   /// Sweeps one chunk span, coalescing dead runs onto the free lists.
-  void sweepChunk(uint8_t *Begin, uint8_t *End, Worker &Me);
+  void sweepChunk(uint8_t *Begin, uint8_t *End, SweepOut &Mine);
 
   ObjectMemory &OM;
-  unsigned NumWorkers;
-  /// deque: Worker holds a SpinLock and cannot move once constructed.
-  std::deque<Worker> Workers;
-  std::atomic<unsigned> IdleWorkers{0};
+  gc::WorkStacks Stacks;
+  std::vector<SweepOut> Out;
   size_t ChunksToSweep = 0;
   std::atomic<size_t> NextChunk{0};
-  std::atomic<size_t> Swept{0};
-  std::atomic<size_t> Live{0};
+  size_t Swept = 0;
+  size_t Live = 0;
 };
 
 } // namespace mst

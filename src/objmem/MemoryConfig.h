@@ -51,7 +51,8 @@ struct MemoryConfig {
 
   /// Number of processors applied to one scavenge (paper §3.1: "It may be
   /// possible to apply multiple processors to the garbage collection
-  /// task"). 1 = the serial scavenger MS shipped with.
+  /// task"). 1 = the serial scavenger MS shipped with. Clamped to 1 when
+  /// MpSupport is off, like FullGcWorkers.
   unsigned ScavengeWorkers = 1;
 
   /// Allocation policy for the new-object space.
@@ -74,8 +75,9 @@ struct MemoryConfig {
   size_t FullGcThresholdBytes = 64u << 20;
 
   /// Number of threads applied to one full collection (marking and
-  /// sweeping both fan out). Clamped to 1 when MpSupport is off, since the
-  /// baseline build's no-op locks cannot protect the shared mark stacks.
+  /// sweeping both fan out). Clamped to 1 when MpSupport is off: OldSpace's
+  /// lock is then a no-op, and tenuring and the sweep's free-list inserts
+  /// go through it.
   unsigned FullGcWorkers = 4;
 
   /// Ceiling on total heap bytes: eden + both survivor spaces + old

@@ -11,6 +11,7 @@
 #include <unordered_set>
 
 #include "objmem/FullGC.h"
+#include "objmem/GcWork.h"
 #include "objmem/Scavenger.h"
 #include "obs/Profiler.h"
 #include "obs/TraceBuffer.h"
@@ -596,7 +597,7 @@ bool ObjectMemory::verifyHeap(std::string *Error) {
     if (H->Format == ObjectFormat::Context &&
         H->SlotCount <= ContextSpSlotIndex)
       return Fail(H, "context too small for its stack-pointer slot");
-    uint32_t Live = Scavenger::liveSlots(H);
+    uint32_t Live = gc::liveSlots(H);
     if (Live > H->SlotCount)
       return Fail(H, "live slot count exceeds the slot count");
     bool RefsYoung = false;

@@ -7,43 +7,20 @@
 #include "objmem/Scavenger.h"
 
 #include <cstring>
-#include <thread>
 
 #include "objmem/ObjectMemory.h"
 #include "obs/Profiler.h"
 #include "support/Assert.h"
-#include "support/Panic.h"
 
 using namespace mst;
 
-Scavenger::Scavenger(ObjectMemory &OM) : OM(OM) {
-  ToSpace = &OM.Survivors[1 - OM.ActiveSurvivor];
-}
+Scavenger::Scavenger(ObjectMemory &OM)
+    : OM(OM), ToSpace(&OM.Survivors[1 - OM.ActiveSurvivor]),
+      Stacks(gc::workerCount(OM.Config.ScavengeWorkers, OM.Config.MpSupport),
+             "scavenge.steal"),
+      Out(Stacks.workers()) {}
 
-uint32_t Scavenger::liveSlots(const ObjectHeader *Obj) {
-  switch (Obj->Format) {
-  case ObjectFormat::Pointers:
-    return Obj->SlotCount;
-  case ObjectFormat::Bytes:
-    return 0;
-  case ObjectFormat::Context: {
-    Oop Sp = Obj->slots()[ContextSpSlotIndex];
-    if (!Sp.isSmallInt())
-      return Obj->SlotCount;
-    intptr_t Top = Sp.smallInt();
-    if (Top < 0)
-      return 0;
-    uint32_t Live = static_cast<uint32_t>(Top) + 1;
-    return Live < Obj->SlotCount ? Live : Obj->SlotCount;
-  }
-  case ObjectFormat::Free:
-    // Free blocks are unreachable; no collector should ask.
-    break;
-  }
-  MST_UNREACHABLE("unknown object format");
-}
-
-ObjectHeader *Scavenger::copyObject(ObjectHeader *Obj) {
+ObjectHeader *Scavenger::copyObject(ObjectHeader *Obj, unsigned W) {
   assert(!Obj->isOld() && "only new objects are copied");
   if (Obj->isForwarded())
     return Obj->forwardee();
@@ -114,89 +91,44 @@ ObjectHeader *Scavenger::copyObject(ObjectHeader *Obj) {
     return Obj->forwardee();
   }
 
+  WorkerOut &Mine = Out[W];
   if (Tenure) {
-    BytesTenured.fetch_add(Total, std::memory_order_relaxed);
-    ObjectsTenured.fetch_add(1, std::memory_order_relaxed);
-    SpinLockGuard Guard(PromotedLock);
-    Promoted.push_back(Copy);
+    Mine.BytesTenured += Total;
+    ++Mine.ObjectsTenured;
+    Mine.Promoted.push_back(Copy);
   } else {
-    BytesCopied.fetch_add(Total, std::memory_order_relaxed);
-    ObjectsCopied.fetch_add(1, std::memory_order_relaxed);
+    Mine.BytesCopied += Total;
+    ++Mine.ObjectsCopied;
   }
-  pushWork(Copy);
+  Stacks.push(W, Copy);
   return Copy;
 }
 
-void Scavenger::processCell(Oop *Cell) {
+void Scavenger::processCell(Oop *Cell, unsigned W) {
   Oop V = *Cell;
   if (!V.isPointer())
     return;
   ObjectHeader *O = V.object();
   if (O->isOld())
     return;
-  *Cell = Oop::fromObject(copyObject(O));
+  *Cell = Oop::fromObject(copyObject(O, W));
 }
 
-void Scavenger::scanObject(ObjectHeader *Obj) {
+void Scavenger::scanObject(ObjectHeader *Obj, unsigned W) {
   // The class reference is a root of the object too. Classes are normally
   // old, but nothing forbids a young class.
   {
     Oop Cls = Oop::fromBits(Obj->ClassBits.load(std::memory_order_relaxed));
     if (Cls.isPointer() && !Cls.object()->isOld()) {
-      ObjectHeader *Copy = copyObject(Cls.object());
+      ObjectHeader *Copy = copyObject(Cls.object(), W);
       Obj->ClassBits.store(Oop::fromObject(Copy).bits(),
                            std::memory_order_relaxed);
     }
   }
-  uint32_t N = liveSlots(Obj);
+  uint32_t N = gc::liveSlots(Obj);
   Oop *Slots = Obj->slots();
   for (uint32_t I = 0; I < N; ++I)
-    processCell(&Slots[I]);
-}
-
-void Scavenger::pushWork(ObjectHeader *Obj) {
-  SpinLockGuard Guard(WorkLock);
-  ScanStack.push_back(Obj);
-}
-
-ObjectHeader *Scavenger::popWork() {
-  SpinLockGuard Guard(WorkLock);
-  if (ScanStack.empty())
-    return nullptr;
-  ObjectHeader *Obj = ScanStack.back();
-  ScanStack.pop_back();
-  return Obj;
-}
-
-void Scavenger::drainLoop(unsigned NumWorkers) {
-  bool Idle = false;
-  for (;;) {
-    ObjectHeader *Obj = popWork();
-    if (Obj) {
-      if (Idle) {
-        Idle = false;
-        IdleWorkers.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      scanObject(Obj);
-      continue;
-    }
-    if (!Idle) {
-      Idle = true;
-      IdleWorkers.fetch_add(1, std::memory_order_acq_rel);
-    }
-    if (IdleWorkers.load(std::memory_order_acquire) == NumWorkers) {
-      // Double-check under the lock: a racing worker may have pushed
-      // between our failed pop and the idle-count read.
-      if ((Obj = popWork())) {
-        Idle = false;
-        IdleWorkers.fetch_sub(1, std::memory_order_acq_rel);
-        scanObject(Obj);
-        continue;
-      }
-      return;
-    }
-    std::this_thread::yield();
-  }
+    processCell(&Slots[I], W);
 }
 
 void Scavenger::collectRootCells(std::vector<Oop *> &Cells) {
@@ -224,7 +156,7 @@ void Scavenger::collectRootCells(std::vector<Oop *> &Cells) {
   // Live fields of every remembered old object (the entry table's purpose:
   // scavenge the young without scanning all of old space).
   for (ObjectHeader *Old : OM.RemSet.entries()) {
-    uint32_t N = liveSlots(Old);
+    uint32_t N = gc::liveSlots(Old);
     Oop *Slots = Old->slots();
     for (uint32_t I = 0; I < N; ++I)
       Cells.push_back(&Slots[I]);
@@ -233,19 +165,11 @@ void Scavenger::collectRootCells(std::vector<Oop *> &Cells) {
 
 void Scavenger::rebuildRememberedSet() {
   std::vector<ObjectHeader *> Candidates = OM.RemSet.entries();
-  {
-    SpinLockGuard Guard(PromotedLock);
-    Candidates.insert(Candidates.end(), Promoted.begin(), Promoted.end());
-  }
+  Candidates.insert(Candidates.end(), Totals.Promoted.begin(),
+                    Totals.Promoted.end());
   std::vector<ObjectHeader *> NewEntries;
   for (ObjectHeader *Old : Candidates) {
-    uint32_t N = liveSlots(Old);
-    Oop *Slots = Old->slots();
-    bool RefsYoung = false;
-    for (uint32_t I = 0; I < N && !RefsYoung; ++I) {
-      Oop V = Slots[I];
-      RefsYoung = V.isPointer() && !V.object()->isOld();
-    }
+    bool RefsYoung = gc::refsYoung(Old);
     Old->setRemembered(RefsYoung);
     if (RefsYoung)
       NewEntries.push_back(Old);
@@ -261,30 +185,21 @@ void Scavenger::run() {
   std::vector<Oop *> Roots;
   collectRootCells(Roots);
 
-  unsigned NumWorkers = OM.Config.ScavengeWorkers;
-  if (NumWorkers == 0)
-    NumWorkers = 1;
-
-  if (NumWorkers == 1) {
-    for (Oop *Cell : Roots)
-      processCell(Cell);
-    drainLoop(1);
-  } else {
-    // Partition the roots statically; each worker then drains the shared
-    // scan stack to quiescence.
-    std::vector<std::thread> Workers;
-    for (unsigned W = 1; W < NumWorkers; ++W) {
-      Workers.emplace_back([this, W, NumWorkers, &Roots] {
-        for (size_t I = W; I < Roots.size(); I += NumWorkers)
-          processCell(Roots[I]);
-        drainLoop(NumWorkers);
-      });
-    }
-    for (size_t I = 0; I < Roots.size(); I += NumWorkers)
-      processCell(Roots[I]);
-    drainLoop(NumWorkers);
-    for (auto &T : Workers)
-      T.join();
+  // Partition the roots statically; each worker then drains its own scan
+  // stack, stealing when it runs dry.
+  unsigned N = Stacks.workers();
+  gc::runWorkers(N, [&](unsigned W) {
+    for (size_t I = W; I < Roots.size(); I += N)
+      processCell(Roots[I], W);
+    Stacks.drain(W, [&](ObjectHeader *Obj) { scanObject(Obj, W); });
+  });
+  for (const WorkerOut &Mine : Out) {
+    Totals.Promoted.insert(Totals.Promoted.end(), Mine.Promoted.begin(),
+                          Mine.Promoted.end());
+    Totals.BytesCopied += Mine.BytesCopied;
+    Totals.BytesTenured += Mine.BytesTenured;
+    Totals.ObjectsCopied += Mine.ObjectsCopied;
+    Totals.ObjectsTenured += Mine.ObjectsTenured;
   }
 
   rebuildRememberedSet();

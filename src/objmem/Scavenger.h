@@ -12,22 +12,23 @@
 /// the duration (paper §3.1).
 ///
 /// Supports applying multiple processors to one scavenge — the experiment
-/// the paper describes but had not yet performed: workers share a scan
-/// stack, bump-allocate survivor space atomically, and race to install
-/// forwarding pointers with compare-and-swap.
+/// the paper describes but had not yet performed. Each worker copies from
+/// its own share of the roots onto its own scan stack (GcWork.h), stealing
+/// when it runs dry; workers bump-allocate survivor space atomically and
+/// race to install forwarding pointers with compare-and-swap. Each keeps
+/// its own promoted list and counts, summed after the join, so a serial
+/// scavenge shares nothing and takes no lock.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MST_OBJMEM_SCAVENGER_H
 #define MST_OBJMEM_SCAVENGER_H
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
-#include "objmem/ObjectHeader.h"
+#include "objmem/GcWork.h"
 #include "objmem/Oop.h"
-#include "vkernel/SpinLock.h"
 
 namespace mst {
 
@@ -44,37 +45,35 @@ public:
   /// old-space reference is updated, and the remembered set is rebuilt.
   void run();
 
-  uint64_t bytesCopied() const { return BytesCopied; }
-  uint64_t bytesTenured() const { return BytesTenured; }
-  uint64_t objectsCopied() const { return ObjectsCopied; }
-  uint64_t objectsTenured() const { return ObjectsTenured; }
-
-  /// \returns the number of body slots the collector must treat as live
-  /// oop cells. Shared with ObjectMemory::verifyHeap(), which must agree
-  /// with the collector about which fields are traced.
-  static uint32_t liveSlots(const ObjectHeader *Obj);
+  uint64_t bytesCopied() const { return Totals.BytesCopied; }
+  uint64_t bytesTenured() const { return Totals.BytesTenured; }
+  uint64_t objectsCopied() const { return Totals.ObjectsCopied; }
+  uint64_t objectsTenured() const { return Totals.ObjectsTenured; }
 
 private:
+  /// What one worker copied and tenured.
+  struct alignas(64) WorkerOut {
+    std::vector<ObjectHeader *> Promoted;
+    uint64_t BytesCopied = 0;
+    uint64_t BytesTenured = 0;
+    uint64_t ObjectsCopied = 0;
+    uint64_t ObjectsTenured = 0;
+  };
+
   /// Gathers the addresses of every root oop cell: registered walkers,
   /// mutator handle stacks, and the live fields of remembered old objects.
   void collectRootCells(std::vector<Oop *> &Cells);
 
   /// Relocates the object referenced by \p Cell (if young) and updates the
-  /// cell. Newly made copies are pushed onto the scan stack.
-  void processCell(Oop *Cell);
+  /// cell. Copies worker \p W makes go onto its scan stack.
+  void processCell(Oop *Cell, unsigned W);
 
   /// Ensures \p Obj has a copy in to-space or old space.
   /// \returns the copy (or \p Obj's existing forwardee).
-  ObjectHeader *copyObject(ObjectHeader *Obj);
+  ObjectHeader *copyObject(ObjectHeader *Obj, unsigned W);
 
   /// Visits the class word and every live field of \p Obj.
-  void scanObject(ObjectHeader *Obj);
-
-  /// Worker loop: drain the scan stack until global quiescence.
-  void drainLoop(unsigned NumWorkers);
-
-  void pushWork(ObjectHeader *Obj);
-  ObjectHeader *popWork();
+  void scanObject(ObjectHeader *Obj, unsigned W);
 
   /// Rebuilds the remembered set from the prior entries plus every object
   /// tenured during this scavenge.
@@ -83,18 +82,9 @@ private:
   ObjectMemory &OM;
   /// Destination survivor space for this scavenge.
   class LinearSpace *ToSpace;
-
-  SpinLock WorkLock{true, "scavenge.work"};
-  std::vector<ObjectHeader *> ScanStack;
-  std::atomic<unsigned> IdleWorkers{0};
-
-  SpinLock PromotedLock{true, "scavenge.promoted"};
-  std::vector<ObjectHeader *> Promoted;
-
-  std::atomic<uint64_t> BytesCopied{0};
-  std::atomic<uint64_t> BytesTenured{0};
-  std::atomic<uint64_t> ObjectsCopied{0};
-  std::atomic<uint64_t> ObjectsTenured{0};
+  gc::WorkStacks Stacks;
+  std::vector<WorkerOut> Out;
+  WorkerOut Totals;
 };
 
 } // namespace mst

@@ -15,6 +15,8 @@
 #include <tuple>
 #include <unordered_map>
 
+#include "obs/Telemetry.h"
+
 using namespace mst;
 
 namespace {
@@ -31,30 +33,6 @@ std::string resolveOr(const std::function<std::string(uintptr_t)> &F,
       return S;
   }
   return Fallback;
-}
-
-void jsonEscapeTo(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
 }
 
 double pct(uint64_t Part, uint64_t Whole) {
@@ -286,13 +264,13 @@ std::string ProfileReport::toJson() const {
     if (!First)
       Out += ',';
     First = false;
-    Out += "{\"vproc\":\"";
-    jsonEscapeTo(Out, R.Vproc);
-    Out += "\",\"state\":\"";
-    jsonEscapeTo(Out, R.State);
-    Out += "\",\"frame\":\"";
-    jsonEscapeTo(Out, R.Frame);
-    Out += "\",\"count\":" + std::to_string(R.Count) + "}";
+    Out += "{\"vproc\":";
+    jsonStringTo(Out, R.Vproc);
+    Out += ",\"state\":";
+    jsonStringTo(Out, R.State);
+    Out += ",\"frame\":";
+    jsonStringTo(Out, R.Frame);
+    Out += ",\"count\":" + std::to_string(R.Count) + "}";
   }
   Out += "]";
 
@@ -304,15 +282,15 @@ std::string ProfileReport::toJson() const {
       if (!Fst)
         S += ',';
       Fst = false;
-      S += "{\"";
-      S += AName;
-      S += "\":\"";
-      jsonEscapeTo(S, R.A);
-      S += "\",\"";
-      S += BName;
-      S += "\":\"";
-      jsonEscapeTo(S, R.B);
-      S += "\",\"count\":" + std::to_string(R.Count) + "}";
+      S += '{';
+      jsonStringTo(S, AName);
+      S += ':';
+      jsonStringTo(S, R.A);
+      S += ',';
+      jsonStringTo(S, BName);
+      S += ':';
+      jsonStringTo(S, R.B);
+      S += ",\"count\":" + std::to_string(R.Count) + "}";
     }
     S += "]";
     return S;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <map>
 #include <mutex>
 
@@ -159,23 +160,47 @@ Telemetry::Snapshot Telemetry::snapshot() {
   return S;
 }
 
-std::string Telemetry::toJson(const Snapshot &S) {
-  auto EscapeTo = [](std::string &Out, const std::string &Str) {
-    for (char C : Str) {
-      if (C == '"' || C == '\\')
-        Out += '\\';
-      Out += C;
+void mst::jsonStringTo(std::string &Out, std::string_view S) {
+  Out += '"';
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += C;
+      }
     }
-  };
+  }
+  Out += '"';
+}
+
+std::string Telemetry::toJson(const Snapshot &S) {
   std::string Out = "{\"counters\":{";
   bool First = true;
   for (const auto &[Name, V] : S.Counters) {
     if (!First)
       Out += ',';
     First = false;
-    Out += '"';
-    EscapeTo(Out, Name);
-    Out += "\":" + std::to_string(V);
+    jsonStringTo(Out, Name);
+    Out += ':' + std::to_string(V);
   }
   Out += "},\"gauges\":{";
   First = true;
@@ -183,9 +208,8 @@ std::string Telemetry::toJson(const Snapshot &S) {
     if (!First)
       Out += ',';
     First = false;
-    Out += '"';
-    EscapeTo(Out, Name);
-    Out += "\":" + std::to_string(V);
+    jsonStringTo(Out, Name);
+    Out += ':' + std::to_string(V);
   }
   Out += "},\"histograms\":{";
   First = true;
@@ -193,10 +217,9 @@ std::string Telemetry::toJson(const Snapshot &S) {
     if (!First)
       Out += ',';
     First = false;
-    Out += '"';
-    EscapeTo(Out, H.Name);
+    jsonStringTo(Out, H.Name);
     const std::string &U = H.Unit;
-    Out += "\":{\"count\":" + std::to_string(H.Count) +
+    Out += ":{\"count\":" + std::to_string(H.Count) +
            ",\"p50_" + U + "\":" + std::to_string(H.P50) +
            ",\"p95_" + U + "\":" + std::to_string(H.P95) +
            ",\"p99_" + U + "\":" + std::to_string(H.P99) +

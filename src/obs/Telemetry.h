@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -188,6 +189,12 @@ private:
 
   static std::atomic<bool> TracingOn;
 };
+
+/// Appends \p S to \p Out as a quoted JSON string: `"` and `\` get a
+/// backslash, newline, carriage return and tab their short escapes, and
+/// every other control byte \u00XX. The one escaper behind the telemetry,
+/// trace, profile and `!health` JSON.
+void jsonStringTo(std::string &Out, std::string_view S);
 
 } // namespace mst
 

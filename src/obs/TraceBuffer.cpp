@@ -96,33 +96,6 @@ void append(const TraceEvent &E) {
   R.WriteIdx.store(W + 1, std::memory_order_release);
 }
 
-void jsonEscapeTo(std::string &Out, const std::string &S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
-
 void appendMicros(std::string &Out, uint64_t Ns) {
   char Buf[32];
   std::snprintf(Buf, sizeof(Buf), "%.3f", static_cast<double>(Ns) / 1000.0);
@@ -221,20 +194,20 @@ std::string mst::chromeTraceJson() {
       comma();
       Out += "{\"ph\":\"M\",\"pid\":" + std::to_string(Pid) +
              ",\"tid\":" + Tid +
-             ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-      jsonEscapeTo(Out, B.ThreadName);
-      Out += "\"}}";
+             ",\"name\":\"thread_name\",\"args\":{\"name\":";
+      jsonStringTo(Out, B.ThreadName);
+      Out += "}}";
     }
     uint64_t W = B.WriteIdx.load(std::memory_order_acquire);
     uint64_t Count = std::min<uint64_t>(W, TraceRingCapacity);
     for (uint64_t I = W - Count; I < W; ++I) {
       const TraceEvent &E = B.Events[I & (TraceRingCapacity - 1)];
       comma();
-      Out += "{\"name\":\"";
-      jsonEscapeTo(Out, E.Name ? E.Name : "?");
-      Out += "\",\"cat\":\"";
-      jsonEscapeTo(Out, E.Cat ? E.Cat : "mst");
-      Out += "\",\"ph\":\"";
+      Out += "{\"name\":";
+      jsonStringTo(Out, E.Name ? E.Name : "?");
+      Out += ",\"cat\":";
+      jsonStringTo(Out, E.Cat ? E.Cat : "mst");
+      Out += ",\"ph\":\"";
       Out += E.Phase == TracePhase::Complete ? "X" : "i";
       Out += "\",\"pid\":" + std::to_string(Pid) + ",\"tid\":" + Tid +
              ",\"ts\":";

@@ -9,25 +9,12 @@
 #include <map>
 
 #include "obs/Profiler.h"
+#include "obs/Telemetry.h"
 
 using namespace mst;
 using namespace mst::serve;
 
 namespace {
-void jsonStringTo(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    if (static_cast<unsigned char>(C) < 0x20) {
-      Out += C == '\n' ? "\\n" : (C == '\r' ? "\\r" : "\\t");
-      continue;
-    }
-    Out += C;
-  }
-  Out += '"';
-}
-
 /// Per-slot-name sample counts by profiler state: which shards spend
 /// their samples running versus lock-waiting versus collecting. Reads
 /// only the sampler's accumulated tables — no oop resolution, no heap.

@@ -16,8 +16,7 @@
 /// Batches run strictly in order while the next batch accumulates in the
 /// batcher. No other thread touches the VM, so it is the paper's
 /// uniprocessor (VmConfig::baselineBS): its structure locks are no-ops,
-/// and its collections run serially on the shard thread, taking only
-/// the collectors' own per-collection locks.
+/// and its collections run serially on the shard thread and take no lock.
 ///
 /// Recovery ladder (the serving layer's whole point of reusing the PR 5
 /// snapshot machinery): a shard boots from its own last committed

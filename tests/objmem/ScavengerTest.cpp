@@ -10,6 +10,7 @@
 
 #include "objmem/ObjectMemory.h"
 #include "support/SplitMix64.h"
+#include "vkernel/Chaos.h"
 
 using namespace mst;
 
@@ -305,5 +306,90 @@ TEST_P(ParallelScavengeTest, RandomGraphSurvivesIntact) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, ParallelScavengeTest,
                          ::testing::Values(1u, 2u, 4u));
+
+TEST(SerialCollectionTest, UniprocessorCollectionsTakeNoLockOnOneThread) {
+  // Without MpSupport both collectors run one worker whatever the config
+  // asks for: OldSpace's lock is a no-op there, so tenuring and the sweep
+  // must not run on several threads, and one worker shares nothing that
+  // needs a lock.
+  std::thread([] {
+  MemoryConfig C;
+  C.MpSupport = false;
+  C.ScavengeWorkers = 4;
+  C.FullGcWorkers = 4;
+  C.TenureAge = 1;
+  C.EdenBytes = 256 * 1024;
+  C.SurvivorBytes = 128 * 1024;
+  C.OldChunkBytes = 64 * 1024;
+  // Old space may hold only 16 KB: the graph's first nodes tenure, and
+  // the rest stay young in the survivor space once old space refuses.
+  C.MaxHeapBytes = C.EdenBytes + 2 * C.SurvivorBytes + 16 * 1024;
+  ObjectMemory OM(C);
+  OM.registerMutator("serial");
+  Oop Nil = OM.allocateOldPointers(Oop(), 0);
+  OM.setNil(Nil);
+  Oop Cls = OM.allocateOldPointers(Nil, 0);
+  std::vector<Oop> Roots(1, Oop());
+  OM.addRootWalker([&Roots](const ObjectMemory::OopVisitor &V) {
+    for (Oop &R : Roots)
+      V(&R);
+  });
+
+  // A 1,000-node chain through slot 0, each node tagged with its index in
+  // slot 3 and holding a random edge to an earlier node in slot 1.
+  const int Nodes = 1000;
+  SplitMix64 Rng(7);
+  std::vector<Oop> Made;
+  for (int I = 0; I < Nodes; ++I) {
+    Oop N = OM.allocatePointers(Cls, 4);
+    N.object()->slots()[3] = Oop::fromSmallInt(I);
+    if (I) {
+      OM.storePointer(N, 0, Made.back());
+      OM.storePointer(N, 1, Made[Rng.nextBelow(Made.size())]);
+    }
+    Made.push_back(N); // eden holds the graph: no scavenge until asked
+  }
+  Roots[0] = Made.back();
+
+  chaos::Config Count; // count the points crossed, perturb none
+  Count.YieldPermille = Count.SleepPermille = Count.DelayPermille = 0;
+  chaos::enable(Count);
+  OM.scavengeNow();
+  ScavengeStats S = OM.statsSnapshot();
+  OM.fullCollect();
+  auto Points = chaos::pointCounts();
+  chaos::disable();
+
+  EXPECT_GT(S.ObjectsTenured, 0u);
+  EXPECT_GT(S.ObjectsCopied, 0u);
+  int Seen = 0;
+  for (Oop N = Roots[0]; N.isPointer() && N != Nil;
+       N = ObjectMemory::fetchPointer(N, 0)) {
+    ASSERT_EQ(N.object()->slots()[3], Oop::fromSmallInt(Nodes - 1 - Seen));
+    Oop Edge = N.object()->slots()[1];
+    if (Seen != Nodes - 1) {
+      ASSERT_TRUE(Edge.isPointer());
+      ASSERT_LT(Edge.object()->slots()[3].smallInt(), Nodes - 1 - Seen);
+    }
+    ++Seen;
+  }
+  EXPECT_EQ(Seen, Nodes);
+  std::string Error;
+  EXPECT_TRUE(OM.verifyHeap(&Error)) << Error;
+
+  bool SawScavenge = false, SawFullGc = false;
+  for (const auto &[Name, Hits] : Points) {
+    SawScavenge |= Name == "scavenge.start";
+    SawFullGc |= Name == "fullgc.start";
+    EXPECT_NE(Name, "spinlock.acquire") << Hits << " hits";
+    EXPECT_NE(Name, "spinlock.trylock") << Hits << " hits";
+    // Only a worker with siblings ever tries to steal.
+    EXPECT_EQ(Name.find(".steal"), std::string::npos) << Name;
+  }
+  EXPECT_TRUE(SawScavenge);
+  EXPECT_TRUE(SawFullGc);
+  OM.unregisterMutator();
+  }).join();
+}
 
 } // namespace

@@ -213,6 +213,19 @@ TEST_F(ServeTest, HealthReportsEveryShardServing) {
   EXPECT_NE(Json.find("\"serve.deadline.expired\""), std::string::npos);
 }
 
+TEST(ServeHealth, ControlBytesInLastErrorEscapeAsUnicode) {
+  // A control byte in a shard's last error must survive the JSON round
+  // trip as itself, not come back as some other character.
+  Shard::Health H;
+  H.State = "restarting";
+  H.LastError = "boot failed:\x01 then\ttab";
+  ServeStats Stats;
+  std::string Json = buildHealthJson({H}, Stats);
+  EXPECT_NE(Json.find("\"last_error\":\"boot failed:\\u0001 then\\ttab\""),
+            std::string::npos)
+      << Json;
+}
+
 TEST_F(ServeTest, CheckpointWritesEveryShardImage) {
   Client C = connect();
   ASSERT_TRUE(C.sendLine("!checkpoint"));
@@ -568,9 +581,10 @@ uint64_t counterValue(const std::string &Name) {
 TEST(ServeShards, ServedRequestsTakeNoVmStructureLock) {
   // Only its own thread touches a shard's VM, so the VM is the paper's
   // uniprocessor and its structure locks (alloc, oldspace, symtab, ...)
-  // are no-ops. The collectors' own locks stay real, but they live for
-  // one collection and no snapshot sees them, so the full collection in
-  // the window checks only that it takes none of the structure locks.
+  // are no-ops. A BS collection runs one worker and registers no lock of
+  // its own (SerialCollectionTest covers that), so here the full
+  // collection in the window checks that it takes none of the structure
+  // locks.
   std::string DataDir = makeTempDir();
   ServerConfig Config = testServerConfig(2, DataDir);
   Config.Pool.Journal = true;
