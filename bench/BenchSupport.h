@@ -87,7 +87,6 @@ struct BenchFlags {
   bool TelemetryReport = false; ///< --telemetry: print counter summary
   std::string TraceOut;         ///< --trace-out=PATH: Chrome trace JSON
   std::string JsonOut;          ///< --json-out=PATH: machine-readable results
-  std::string ImagePath;        ///< --image=PATH: boot from a prewarmed image
   bool Profile = false;         ///< --profile: run the sampling profiler
   uint32_t ProfileHz = 0;       ///< --profile-hz=N: sampling rate (0=default)
   std::string ProfileFolded;    ///< --profile-folded=PATH: collapsed stacks
@@ -123,7 +122,7 @@ inline std::string &benchImagePath() {
 
 /// Boots \p VM for a macro suite: from the prewarmed snapshot when one
 /// was given (its load time lands in the `img.load.millis` histogram, so
-/// every BENCH_*.json telemetry block records it), otherwise from scratch
+/// every --json-out telemetry block records it), otherwise from scratch
 /// via bootstrap + the macro-workload definitions. A snapshot that fails
 /// verification falls back to the scratch path rather than aborting the
 /// suite — the benches should still produce numbers off a stale image.
@@ -159,8 +158,7 @@ inline BenchFlags parseBenchFlags(int Argc, char **Argv) {
     } else if (std::strncmp(A, "--json-out=", 11) == 0) {
       F.JsonOut = A + 11;
     } else if (std::strncmp(A, "--image=", 8) == 0) {
-      F.ImagePath = A + 8;
-      benchImagePath() = F.ImagePath;
+      benchImagePath() = A + 8;
     } else if (std::strncmp(A, "--chaos-seed=", 13) == 0) {
       chaos::enableSeed(std::strtoull(A + 13, nullptr, 0));
     } else if (std::strcmp(A, "--profile") == 0) {
@@ -295,19 +293,18 @@ inline std::vector<std::string> macroShortNames() {
           "implementors", "inspector", "compile", "decompile"};
 }
 
-/// Writes one versioned machine-readable result file: per-state wall/CPU
+/// Writes Table 2's machine-readable result file: per-state wall/CPU
 /// seconds for every macro benchmark plus that state's telemetry snapshot
 /// (lock contention, cache hit rates, scavenge pause percentiles).
 /// \returns false on I/O failure.
-inline bool writeBenchJson(const std::string &Path,
-                           const std::string &BenchName, double Scale,
+inline bool writeBenchJson(const std::string &Path, double Scale,
                            const std::vector<SystemState> &States,
                            const std::vector<std::vector<TimedRun>> &All,
                            const std::vector<Telemetry::Snapshot> &Snaps) {
   std::ofstream Os(Path, std::ios::binary | std::ios::trunc);
   if (!Os)
     return false;
-  Os << "{\"bench\":\"" << BenchName << "\",\"scale\":" << Scale
+  Os << "{\"bench\":\"table2\",\"scale\":" << Scale
      << ",\"interpreters\":" << msInterpreters() << ",\"states\":[";
   const auto Names = macroShortNames();
   for (size_t SI = 0; SI < States.size(); ++SI) {
@@ -328,7 +325,7 @@ inline bool writeBenchJson(const std::string &Path,
   }
   Os << "]";
   // When the sampling profiler ran, the accumulated cross-state profile
-  // rides along in the versioned artifact.
+  // rides along in the result file.
   if (!benchProfile().empty())
     Os << ",\"profile\":" << benchProfile().toJson();
   Os << "}";

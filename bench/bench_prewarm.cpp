@@ -10,11 +10,11 @@
 /// The bench binaries then boot every system state from this image via
 /// `--image=PATH`, so a multi-state suite pays the bootstrap + workload
 /// compilation cost once instead of per state, and the per-state
-/// `img.load.millis` histogram in the BENCH_*.json telemetry records how
+/// `img.load.millis` histogram in the --json-out telemetry records how
 /// long image startup actually takes.
 ///
-///   ./bench/bench_prewarm bench/results/prewarmed.image
-///   ./bench/bench_table2 --image=bench/results/prewarmed.image ...
+///   ./bench/bench_prewarm prewarmed.image
+///   ./bench/bench_table2 --image=prewarmed.image ...
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,4 +1,4 @@
-//===-- bench/bench_table2.cpp - Table 2: preliminary performance ---------===//
+//===-- bench/bench_table2.cpp - Table 2 and Figure 2 ---------------------===//
 //
 // Part of the Multiprocessor Smalltalk reproduction. MIT license.
 //
@@ -13,6 +13,10 @@
 ///   MS with four idle Processes
 ///   MS with four busy Processes
 ///
+/// and then **Figure 2: Preliminary overhead measurements — normalized**
+/// from the same runs: every benchmark's processor time divided by its
+/// baseline-BS time, rendered as ASCII bars.
+///
 /// The primary metric is **processor time attributed to the benchmark
 /// Process** (thread-CPU across its slices). On the Firefly each Process
 /// effectively had its own processor, so the paper's elapsed seconds are
@@ -24,8 +28,12 @@
 ///  - Four idle: roughly +30% worst case over baseline.
 ///  - Four busy: up to ~65% worst case, ~40% average over baseline.
 ///  - Differences under 3% are noise ("should be discounted").
+///  - Figure 2's bars grow from baseline (1.00) through MS and MS+idle to
+///    MS+busy for most benchmarks.
 ///
 //===----------------------------------------------------------------------===//
+
+#include <algorithm>
 
 #include "BenchSupport.h"
 
@@ -100,6 +108,31 @@ int main(int argc, char **argv) {
   std::printf("\nNote: differences of less than 3%% are not significant "
               "(paper Table 2 footnote).\n");
 
+  // Figure 2: the processor seconds above, normalized per benchmark to
+  // baseline BS.
+  const auto Names = macroShortNames();
+  auto Ratio = [&](size_t SI, size_t B) {
+    const TimedRun &Base = All[0][B], &Run = All[SI][B];
+    return Base.Ok && Run.Ok && Base.CpuSec > 0 && Run.CpuSec > 0
+               ? Run.CpuSec / Base.CpuSec
+               : 0.0;
+  };
+  double MaxRatio = 1.0;
+  for (size_t SI = 1; SI < States.size(); ++SI)
+    for (size_t B = 0; B < Names.size(); ++B)
+      MaxRatio = std::max(MaxRatio, Ratio(SI, B));
+  std::printf("\nFigure 2: Preliminary overhead measurements - "
+              "normalized\n\n");
+  for (size_t B = 0; B < Names.size(); ++B) {
+    std::printf("%s\n", Names[B].c_str());
+    for (size_t SI = 0; SI < States.size(); ++SI)
+      std::printf("  %-30s %5.2f |%s\n", stateName(States[SI]),
+                  Ratio(SI, B), asciiBar(Ratio(SI, B), MaxRatio, 48).c_str());
+    std::printf("\n");
+  }
+  std::printf("Processor time normalized to the baseline BS time for "
+              "each benchmark (1.00).\n");
+
   // One sample instrumentation report (paper SS6) from a fresh busy run.
   {
     VirtualMachine VM(configFor(SystemState::MsFourBusy));
@@ -115,7 +148,7 @@ int main(int argc, char **argv) {
   }
 
   if (!Flags.JsonOut.empty() &&
-      !writeBenchJson(Flags.JsonOut, "table2", Scale, States, All, Snaps))
+      !writeBenchJson(Flags.JsonOut, Scale, States, All, Snaps))
     std::fprintf(stderr, "failed to write %s\n", Flags.JsonOut.c_str());
   finishBenchFlags(Flags, Snaps.back());
   return 0;

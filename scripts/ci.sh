@@ -75,7 +75,9 @@
 #                target is <1%; CI noise under sanitizers gets headroom up
 #                to MST_PROFILE_OVERHEAD_MAX_PCT (default 5) before the
 #                lane fails.
-#   coverage     Debug build with GCC --coverage, then all of Tier-1
+#   coverage     Debug build with GCC --coverage (atomic counter updates,
+#                so lines run by several threads at once count right),
+#                then all of Tier-1
 #                (every ctest case, quick and stress), then a short run
 #                of each perfbench workload: perfbench_driver, linked
 #                against this build, sends serve_small's load to its
@@ -465,10 +467,12 @@ coverage_traffic() {
 
 do_coverage() {
   banner "coverage: GCC --coverage, Tier-1 and perfbench, unexecuted code"
-  # Benches on: the bench_spinlock ctest case is part of Tier-1.
+  # Benches on: the bench_spinlock ctest case is part of Tier-1. Atomic
+  # counter updates: lines that several interpreter threads run at once
+  # would otherwise lose increments, and some read negative.
   cmake -B build-ci/coverage -S . \
     -DCMAKE_BUILD_TYPE=Debug \
-    -DCMAKE_CXX_FLAGS=--coverage \
+    -DCMAKE_CXX_FLAGS="--coverage -fprofile-update=atomic" \
     -DCMAKE_EXE_LINKER_FLAGS=--coverage \
     -DMST_BUILD_BENCH=ON >/dev/null
   cmake --build build-ci/coverage -j "$JOBS"

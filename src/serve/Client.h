@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A minimal blocking client for the serving protocol, shared by the
-/// serve tests and bench_serve's traffic generators. One Client = one
-/// session; sendLine/recvLine speak raw protocol lines, eval() wraps a
-/// round trip. Not used by the server itself — the server side is all
-/// non-blocking.
+/// A minimal blocking client for the serving protocol, used by the serve
+/// tests and their storms. One Client = one session; sendLine/recvLine
+/// speak raw protocol lines, eval() wraps a round trip. Not used by the
+/// server itself — the server side is all non-blocking.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -44,7 +44,9 @@ CompileResult compileDoItSource(ObjectModel &Om, Oop Cls,
 
 /// Installs \p Method, which must be old, in \p Cls's method dictionary
 /// under the method's own selector, flushing \p Cache entries for that
-/// selector (pass nullptr during bootstrap, before caches exist).
+/// selector (pass nullptr during bootstrap, before caches exist). Once
+/// interpreters run, a replicated cache's flush stops the world: the
+/// caller must be a mutator and treat the call as a GC point.
 void installMethod(ObjectModel &Om, MethodCache *Cache, Oop Cls, Oop Method);
 
 /// Convenience: compile + install; aborts the process on a compile error

@@ -6,6 +6,7 @@
 
 #include "vm/MethodCache.h"
 
+#include "objmem/Safepoint.h"
 #include "support/Assert.h"
 #include "vkernel/Delay.h"
 
@@ -105,6 +106,17 @@ void MethodCache::flushAll() {
 }
 
 void MethodCache::flushSelector(Oop Selector) {
+  if (Kind == MethodCacheKind::Replicated && WorldStop) {
+    // Each interpreter fills its own table without a lock. A doSend has
+    // no safepoint between its lookup and its insert, so with the world
+    // stopped no stale entry can outlive the flush.
+    while (!WorldStop->requestStopTheWorld()) {
+    }
+    for (auto &T : Tables)
+      T->removeSelector(Selector);
+    WorldStop->resume();
+    return;
+  }
   GlobalLock.lockExclusive();
   for (auto &T : Tables)
     T->removeSelector(Selector);

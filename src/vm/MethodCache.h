@@ -21,7 +21,8 @@
 ///    it is replicated."
 ///
 /// Entries hold oops; caches are flushed at every scavenge (objects move)
-/// and on method installation (selectively, by selector).
+/// and on method installation (selectively, by selector). Both flushes of
+/// a replicated cache run with the world stopped once interpreters run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +39,8 @@
 #include "vkernel/SpinLock.h"
 
 namespace mst {
+
+class Safepoint;
 
 /// Which cache organization the VM uses (Table 3: serialization vs
 /// replication of the method cache).
@@ -152,7 +155,14 @@ public:
   void flushAll();
 
   /// Flushes entries for \p Selector in every table (method install).
+  /// After stopWorldToFlush, a replicated flush stops the world: the
+  /// caller must be a mutator whose frame is written back, and must
+  /// refresh it afterwards.
   void flushSelector(Oop Selector);
+
+  /// Called when other threads start filling the replicated tables: from
+  /// now on flushSelector rewrites them with \p Sp's world stopped.
+  void stopWorldToFlush(Safepoint &Sp) { WorldStop = &Sp; }
 
   uint64_t hits() const { return Stats.Hits.value(); }
   uint64_t misses() const { return Stats.Misses.value(); }
@@ -161,6 +171,7 @@ private:
   MethodCacheKind Kind;
   RwSpinLock GlobalLock;
   std::vector<std::unique_ptr<MethodCacheTable>> Tables; // 1 or N
+  Safepoint *WorldStop = nullptr; ///< set once interpreters run
   MethodCacheStats Stats;
 };
 

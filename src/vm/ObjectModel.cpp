@@ -425,14 +425,14 @@ Oop ObjectModel::mdNew(uint32_t Capacity) {
 
 Oop ObjectModel::mdLookup(Oop Md, Oop Selector) const {
   Oop Table = ObjectMemory::fetchPointer(Md, MdTable);
-  ObjectHeader *T = Table.object();
-  uint32_t Cap = T->SlotCount / 2;
+  uint32_t Cap = Table.object()->SlotCount / 2;
   uint32_t Mask = Cap - 1;
   uint32_t I = static_cast<uint32_t>(Selector.object()->Hash) & Mask;
+  // Acquire loads: mdAddMethod may store into this table while we probe.
   for (uint32_t Probes = 0; Probes < Cap; ++Probes) {
-    Oop Key = T->slots()[2 * I];
+    Oop Key = ObjectMemory::fetchPointer(Table, 2 * I);
     if (Key == Selector)
-      return T->slots()[2 * I + 1];
+      return ObjectMemory::fetchPointer(Table, 2 * I + 1);
     if (Key == K.NilObj)
       return Oop();
     I = (I + 1) & Mask;

@@ -534,12 +534,14 @@ Interpreter::PrimResult Interpreter::dispatchPrimitive(int Index,
     std::string Source = ObjectModel::stringValue(Src);
     writeBackIp();
     CompileResult R = compileMethodSource(Om, Target, Source);
-    reloadFrame();
     if (!R.ok()) {
+      reloadFrame();
       VM.logError("compile error: " + R.Error);
       return Replace(Nil);
     }
+    // The install flushes the method caches, which may stop the world.
     installMethod(Om, &VM.cache(), Target, R.Method);
+    reloadFrame();
     return Replace(ObjectMemory::fetchPointer(R.Method, MthSelector));
   }
 

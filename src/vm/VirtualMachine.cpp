@@ -115,6 +115,7 @@ void VirtualMachine::setLowSpaceSemaphore(Oop Sem) {
 void VirtualMachine::startInterpreters() {
   assert(!WorkersStarted && "interpreters already started");
   WorkersStarted = true;
+  Cache->stopWorldToFlush(OM->safepoint());
   for (auto &W : Workers) {
     Interpreter *I = W.get();
     Kernel.createProcess("interpreter-" + std::to_string(I->id()),
@@ -125,6 +126,10 @@ void VirtualMachine::startInterpreters() {
 void VirtualMachine::shutdown() {
   StopFlag.store(true, std::memory_order_relaxed);
   Sched->notifyWork();
+  // An interpreter may request a pause before it sees StopFlag, and the
+  // driver is a mutator: it must count as parked while it waits for the
+  // interpreters to exit. The join touches no heap object.
+  BlockedRegion Joining(OM->safepoint());
   Kernel.joinAll();
 }
 

@@ -96,7 +96,9 @@ public:
   /// Spawns the worker interpreter processes.
   void startInterpreters();
 
-  /// Requests shutdown and joins every worker.
+  /// Requests shutdown and joins every worker. The caller counts as
+  /// parked while it waits, so interpreters may still collect: a GC
+  /// point.
   void shutdown();
 
   bool stopping() const {

@@ -690,6 +690,7 @@ TEST(ServeOverload, QueueBudgetShedsAndRetrySucceeds) {
 
   // Wedge the shard, then overflow the 2-deep budget: the overflow must
   // fast-fail ERR overloaded instead of queueing without bound.
+  auto T0 = std::chrono::steady_clock::now();
   ASSERT_TRUE(C.sendLine("@r?deadline=800 [true] whileTrue."));
   const int N = 6;
   for (int I = 0; I < N; ++I)
@@ -697,22 +698,31 @@ TEST(ServeOverload, QueueBudgetShedsAndRetrySucceeds) {
                            std::to_string(I)));
 
   int Shed = 0, Served = 0, TimedOut = 0;
+  double SlowestServedMs = 0;
   for (int I = 0; I < N + 1; ++I) {
     std::string Line, Tag, Value;
     bool Ok = false;
     ASSERT_TRUE(C.recvLine(Line, 240.0));
     ASSERT_TRUE(parseResponseLine(Line, Ok, Tag, Value));
-    if (Ok)
+    if (Ok) {
       ++Served;
-    else if (Value.find("overloaded") != std::string::npos)
+      SlowestServedMs = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - T0)
+                            .count();
+    } else if (Value.find("overloaded") != std::string::npos) {
       ++Shed;
-    else if (Value.find("RequestTimeout") != std::string::npos)
+    } else if (Value.find("RequestTimeout") != std::string::npos) {
       ++TimedOut;
+    }
   }
   EXPECT_EQ(TimedOut, 1); // the runaway
   EXPECT_GE(Shed, 1) << "budget never shed";
   EXPECT_GE(Served, 1) << "admitted requests must still answer";
+  // Admitted requests wait out the runaway's deadline, not longer: every
+  // one answers within 15 s of the storm's start.
+  EXPECT_LT(SlowestServedMs, 15000.0);
   EXPECT_GE(S.stats().Shed.value(), 1u);
+  EXPECT_GE(S.health()[0].DeadlineExpired, 1u);
 
   // Once the shard drains, a backoff-retried request gets through.
   bool Ok = false;

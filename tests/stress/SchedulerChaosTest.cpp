@@ -115,6 +115,57 @@ TEST(SchedulerChaosTest, ChaosCrossesTheKernelInjectionPoints) {
   }
 }
 
+TEST(SchedulerChaosTest, InstallReachesEveryReplicatedCacheBeforeReturning) {
+  // Sender Processes keep sending #stressProbe on every interpreter while
+  // the driver keeps redefining it. Each interpreter fills its own cache
+  // without a lock, so an install flushes them with the world stopped: a
+  // send that starts after an install returned never answers an older
+  // definition.
+  const int Senders = 12; // three per interpreter
+  const int Installs = stressScale(1000, 100);
+  TestVm T(VmConfig::multiprocessor(4));
+  T.vm().startInterpreters();
+  const std::string N = std::to_string(Senders);
+  T.eval("Compiler compile: 'stressProbe ^0' into: Object. "
+         "Smalltalk at: #Installed put: 0. Smalltalk at: #Done put: false. "
+         "Smalltalk at: #Stale put: (Array new: " + N + "). "
+         "Smalltalk at: #Last put: (Array new: " + N + "). ^nil");
+  unsigned Ready = T.vm().createHostSignal();
+  unsigned Finished = T.vm().createHostSignal();
+  for (int K = 1; K <= Senders; ++K) {
+    std::string Slot = std::to_string(K);
+    EXPECT_FALSE(
+        T.vm()
+            .forkDoIt("| installed stale | stale := 0. nil hostSignal: " +
+                          std::to_string(Ready) +
+                          ". [Smalltalk at: #Done] whileFalse: [installed "
+                          ":= Smalltalk at: #Installed. nil stressProbe < "
+                          "installed ifTrue: [stale := stale + 1]]. "
+                          "(Smalltalk at: #Stale) at: " + Slot +
+                          " put: stale. (Smalltalk at: #Last) at: " + Slot +
+                          " put: nil stressProbe. nil hostSignal: " +
+                          std::to_string(Finished),
+                      5, "sender" + Slot)
+            .isNull());
+  }
+  ASSERT_TRUE(T.vm().waitHostSignal(Ready, Senders, 120.0));
+  ScopedChaos Chaos(chaosSeeds().front());
+  for (int G = 1; G <= Installs; ++G) {
+    std::string V = std::to_string(G);
+    T.eval("Compiler compile: 'stressProbe ^" + V + "' into: Object. "
+           "Smalltalk at: #Installed put: " + V + ". ^nil");
+  }
+  T.eval("Smalltalk at: #Done put: true. ^nil");
+  ASSERT_TRUE(T.vm().waitHostSignal(Finished, Senders, 120.0));
+  for (int K = 1; K <= Senders; ++K) {
+    std::string Slot = std::to_string(K);
+    EXPECT_EQ(T.evalInt("^(Smalltalk at: #Stale) at: " + Slot), 0)
+        << "sender " << K << " answered a replaced definition";
+    EXPECT_EQ(T.evalInt("^(Smalltalk at: #Last) at: " + Slot), Installs);
+  }
+  EXPECT_TRUE(T.vm().errors().empty()) << T.vm().errors().front();
+}
+
 TEST(SchedulerChaosTest, BaselineBSUnperturbedByChaosPoints) {
   // Chaos enabled but with all probabilities zero: the workload must run
   // exactly as without chaos (the points are crossed, nothing fires).

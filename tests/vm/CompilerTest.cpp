@@ -135,6 +135,13 @@ TEST_F(CompilerTest, UndeclaredVariableIsAnError) {
       T.om(), T.om().known().ClassUndefinedObject, "^frobnicate");
   EXPECT_FALSE(R.ok());
   EXPECT_NE(R.Error.find("undeclared"), std::string::npos);
+  R = compileDoItSource(T.om(), T.om().known().ClassUndefinedObject,
+                        "Frobnicate := 3");
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("cannot assign to undeclared variable "
+                         "'Frobnicate'"),
+            std::string::npos)
+      << R.Error;
 }
 
 TEST_F(CompilerTest, StatementsAfterReturnAreAnError) {

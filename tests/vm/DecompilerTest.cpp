@@ -69,6 +69,13 @@ TEST_F(DecompilerTest, TempsAndStatementsRoundTrip) {
   roundTrip("swap | t | t := x. x := y. y := t. ^self");
 }
 
+TEST_F(DecompilerTest, GlobalAssignmentRoundTrips) {
+  T.eval("Smalltalk at: #Tally put: 0. ^nil");
+  EXPECT_NE(decompile("record Tally := x. ^self").find("Tally := x"),
+            std::string::npos);
+  roundTrip("record Tally := x + y. ^self");
+}
+
 TEST_F(DecompilerTest, PatternReconstruction) {
   std::string Out = decompile("at: i put: v ^v");
   EXPECT_NE(Out.find("at: arg1 put: arg2"), std::string::npos) << Out;

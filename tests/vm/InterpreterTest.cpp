@@ -26,6 +26,34 @@ TEST_F(InterpreterTest, SmallIntegerArithmetic) {
   EXPECT_EQ(T.evalInt("^3 + 4 * 2"), 14); // left-to-right binaries
 }
 
+TEST_F(InterpreterTest, BitAndBitOrTakeTheSmallIntegerFastPath) {
+  EXPECT_EQ(T.evalInt("^12 bitAnd: 10"), 8);
+  EXPECT_EQ(T.evalInt("^12 bitOr: 10"), 14);
+  EXPECT_EQ(T.evalInt("^-1 bitAnd: 255"), 255);
+  // An argument that is not a SmallInteger misses the fast path and
+  // becomes a real send of the selector.
+  T.eval("^Compiler compile: 'bitAnd: n ^#sentAnd' into: SmallInteger");
+  T.eval("^Compiler compile: 'bitOr: n ^#sentOr' into: SmallInteger");
+  EXPECT_EQ(T.evalString("^(3 bitAnd: nil) asString"), "sentAnd");
+  EXPECT_EQ(T.evalString("^(3 bitOr: 'x') asString"), "sentOr");
+  EXPECT_EQ(T.evalInt("^12 bitOr: 10"), 14); // still never sent
+}
+
+TEST_F(InterpreterTest, AssignmentsStoreIntoTheGlobalsAssociation) {
+  T.eval("Smalltalk at: #Tally put: 1. ^nil");
+  // Runtime associations are young: look the association up afresh.
+  auto Tally = [this] {
+    Oop Assoc = T.om().globalAssociation("Tally", /*CreateIfAbsent=*/false);
+    return Assoc.isNull() ? Oop()
+                          : ObjectMemory::fetchPointer(Assoc, AssocValue);
+  };
+  EXPECT_EQ(T.evalInt("Tally := Tally + 41. ^Tally"), 42);
+  EXPECT_EQ(Tally(), Oop::fromSmallInt(42));
+  T.eval("^Compiler compile: 'doubleTally Tally := Tally * 2' into: Object");
+  T.eval("nil doubleTally. ^nil");
+  EXPECT_EQ(Tally(), Oop::fromSmallInt(84));
+}
+
 TEST_F(InterpreterTest, Comparisons) {
   EXPECT_TRUE(T.evalBool("^3 < 4"));
   EXPECT_FALSE(T.evalBool("^4 < 3"));

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <thread>
 
 #include "TestVm.h"
 #include "obs/Telemetry.h"
@@ -84,6 +85,28 @@ TEST(VirtualMachineTest, ShutdownWithRunningProcesses) {
   VM.forkDoIt("[true] whileTrue: [Point x: 1 y: 2]", 5, "immortal-2");
   VM.shutdown(); // must return promptly (joinAll inside)
   SUCCEED();
+}
+
+TEST(VirtualMachineTest, ShutdownParksTheDriverWhileAWorkerRequestsPauses) {
+  // A worker collecting back to back is waiting for the driver to park
+  // when shutdown begins; the driver must park while it joins, or both
+  // wait forever. The watchdog turns that hang into an abort whose dump
+  // names the driver.
+  VmConfig C = VmConfig::multiprocessor(2);
+  C.Memory.WatchdogMillis = 5000;
+  VirtualMachine VM(C);
+  bootstrapImage(VM);
+  VM.startInterpreters();
+  unsigned Started = VM.createHostSignal();
+  VM.forkDoIt("nil hostSignal: " + std::to_string(Started) +
+                  ". [true] whileTrue: [nil fullCollect]",
+              5, "collector");
+  ASSERT_TRUE(VM.waitHostSignal(Started, 1, 60.0));
+  // Host work outside any blocked region: the collector's next pause
+  // request waits for the driver.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  VM.shutdown();
+  EXPECT_EQ(VM.memory().safepoint().watchdogFirings(), 0u);
 }
 
 TEST(VirtualMachineTest, StatisticsReportOnFreshVm) {
