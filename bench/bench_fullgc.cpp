@@ -5,13 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Two experiments on the parallel mark-sweep collector:
+/// Two experiments on the mark-sweep collector:
 ///
-/// 1. Micro: pause time vs. marking/sweeping worker count over a heap
-///    with a substantial live old graph plus batches of old garbage.
-///    Expected shape: pause falls as workers are added (the mark fans
-///    out over the work-stealing stacks, the sweep over chunks), with
-///    diminishing returns past the host's CPU count.
+/// 1. Micro: the pause of one full collection over a heap with a
+///    substantial live old graph plus batches of old garbage.
 ///
 /// 2. Macro: the Table 2 suite under tenuring pressure (small eden,
 ///    early tenuring, a low full-GC threshold), full GC on vs. off.
@@ -29,9 +26,8 @@ using namespace mst;
 
 namespace {
 
-/// One row of the worker-count sweep.
+/// The micro experiment's result.
 struct MicroRow {
-  unsigned Workers;
   uint64_t Collections;
   double AvgPauseMs;
   double MaxPauseMs;
@@ -43,14 +39,12 @@ struct MicroRow {
 /// runs \p Rounds explicit collections, re-littering old space with
 /// \p GarbageObjs dead objects before each. Only the collector's own
 /// pause shows up: no interpreters, no competing mutators.
-MicroRow measureMicro(unsigned Workers, int LiveObjs, int GarbageObjs,
-                      int Rounds) {
+MicroRow measureMicro(int LiveObjs, int GarbageObjs, int Rounds) {
   MemoryConfig MC;
   MC.EdenBytes = 1u << 20;
   MC.SurvivorBytes = 512u << 10;
   MC.OldChunkBytes = 4u << 20;
   MC.FullGcEnabled = false; // collections are explicit: exactly Rounds
-  MC.FullGcWorkers = Workers;
   ObjectMemory OM(MC);
   OM.registerMutator("bench");
   Oop Nil = OM.allocateOldPointers(Oop(), 0);
@@ -76,7 +70,7 @@ MicroRow measureMicro(unsigned Workers, int LiveObjs, int GarbageObjs,
 
   FullGcStats F = OM.fullGcStatsSnapshot();
   OM.unregisterMutator();
-  return MicroRow{Workers, F.Collections,
+  return MicroRow{F.Collections,
                   F.Collections ? F.TotalPauseSec /
                                       static_cast<double>(F.Collections) *
                                       1000.0
@@ -139,25 +133,17 @@ MacroRun measureMacro(bool FullGcOn, double Scale) {
   return Out;
 }
 
-bool writeJson(const std::string &Path, double Scale,
-               const std::vector<MicroRow> &Micro,
+bool writeJson(const std::string &Path, double Scale, const MicroRow &Micro,
                const MacroRun &On, const MacroRun &Off) {
   std::ofstream Os(Path, std::ios::binary | std::ios::trunc);
   if (!Os)
     return false;
-  Os << "{\"bench\":\"fullgc\",\"scale\":" << Scale << ",\"micro\":[";
-  for (size_t I = 0; I < Micro.size(); ++I) {
-    const MicroRow &R = Micro[I];
-    if (I)
-      Os << ',';
-    Os << "{\"workers\":" << R.Workers
-       << ",\"collections\":" << R.Collections
-       << ",\"avg_pause_ms\":" << R.AvgPauseMs
-       << ",\"max_pause_ms\":" << R.MaxPauseMs
-       << ",\"live_bytes\":" << R.LiveBytes
-       << ",\"swept_bytes\":" << R.SweptBytes << "}";
-  }
-  Os << "],\"macro\":[";
+  Os << "{\"bench\":\"fullgc\",\"scale\":" << Scale
+     << ",\"micro\":{\"collections\":" << Micro.Collections
+     << ",\"avg_pause_ms\":" << Micro.AvgPauseMs
+     << ",\"max_pause_ms\":" << Micro.MaxPauseMs
+     << ",\"live_bytes\":" << Micro.LiveBytes
+     << ",\"swept_bytes\":" << Micro.SweptBytes << "},\"macro\":[";
   const auto Names = macroShortNames();
   auto EmitMacro = [&Os, &Names](const char *Mode, const MacroRun &M) {
     Os << "{\"fullgc\":\"" << Mode << "\",\"collections\":"
@@ -190,34 +176,25 @@ int main(int argc, char **argv) {
   BenchFlags Flags = parseBenchFlags(argc, argv);
   double Scale = benchScale(1.0);
 
-  std::printf("Full collection: parallel mark-sweep of old space\n\n");
+  std::printf("Full collection: mark-sweep of old space\n\n");
 
-  // --- 1. pause vs. worker count --------------------------------------
+  // --- 1. pause of one collection -------------------------------------
   int LiveObjs = static_cast<int>(40000 * Scale);
   int GarbageObjs = static_cast<int>(80000 * Scale);
   const int Rounds = 5;
-  std::printf("Worker sweep: %d live objects (linked), %d dead per round, "
+  std::printf("Micro: %d live objects (linked), %d dead per round, "
               "%d collections\n",
               LiveObjs, GarbageObjs, Rounds);
+  MicroRow Micro = measureMicro(LiveObjs, GarbageObjs, Rounds);
   TextTable T;
-  T.setHeader({"workers", "collections", "avg pause (ms)", "max pause (ms)",
+  T.setHeader({"collections", "avg pause (ms)", "max pause (ms)",
                "live bytes", "swept bytes"});
-  std::vector<MicroRow> Micro;
-  double Baseline = -1.0;
-  for (unsigned W : {1u, 2u, 4u}) {
-    MicroRow R = measureMicro(W, LiveObjs, GarbageObjs, Rounds);
-    if (W == 1)
-      Baseline = R.AvgPauseMs;
-    Micro.push_back(R);
-    T.addRow({std::to_string(R.Workers), std::to_string(R.Collections),
-              formatDouble(R.AvgPauseMs, 3), formatDouble(R.MaxPauseMs, 3),
-              std::to_string(R.LiveBytes), std::to_string(R.SweptBytes)});
-  }
+  T.addRow({std::to_string(Micro.Collections),
+            formatDouble(Micro.AvgPauseMs, 3),
+            formatDouble(Micro.MaxPauseMs, 3),
+            std::to_string(Micro.LiveBytes),
+            std::to_string(Micro.SweptBytes)});
   std::printf("%s", T.render().c_str());
-  if (Baseline > 0 && Micro.back().AvgPauseMs > 0)
-    std::printf("Speedup with %u workers: %.2fx (host has %u CPUs)\n",
-                Micro.back().Workers, Baseline / Micro.back().AvgPauseMs,
-                std::thread::hardware_concurrency());
 
   // --- 2. Table 2 suite under tenuring pressure -----------------------
   std::printf("\nMacro suite under tenuring pressure (512K eden, "

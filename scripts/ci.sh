@@ -11,8 +11,9 @@
 #   MST_CHAOS_SEED=1337 scripts/ci.sh debug-chaos   # pin the chaos seed
 #
 # Configurations:
-#   release      Release build, quick suite (-L quick) — the tier-1 gate.
-#                Then builds perfbench/ (perfbench_driver and
+#   release      Release build of everything, bench/ and examples/
+#                included, then the quick suite (-L quick) — the tier-1
+#                gate. Then builds perfbench/ (perfbench_driver and
 #                perfbench_tests) against that build, in perfbench's
 #                default build type (both keep assertions on), and runs
 #                its C++ and Python helper tests, so a program change that
@@ -30,7 +31,7 @@
 #                never-written heap memory fails a test.
 #   tsan         ThreadSanitizer + chaos, quick + stress suites. The
 #                stress label includes the full-GC chaos storms
-#                (FullGCChaosTest), racing parallel mark/sweep against
+#                (FullGCChaosTest), racing mark/sweep pauses against
 #                mutator threads under the injected schedules.
 #   asan         Address+UB sanitizers, quick + stress suites.
 #   smallheap    Debug build, stress suite under memory pressure: a tiny
@@ -114,12 +115,13 @@ export UBSAN_OPTIONS=${UBSAN_OPTIONS:-"print_stacktrace=1 halt_on_error=1"}
 
 banner() { printf '\n=== %s ===\n' "$*"; }
 
-# configure <dir> <build-type> <sanitize>
+# configure <dir> <build-type> <sanitize> [bench: ON builds bench/ and
+# examples/; default OFF]
 configure() {
   cmake -B "build-ci/$1" -S . \
     -DCMAKE_BUILD_TYPE="$2" \
     -DMST_SANITIZE="$3" \
-    -DMST_BUILD_BENCH=OFF >/dev/null
+    -DMST_BUILD_BENCH="${4:-OFF}" >/dev/null
 }
 
 # run_suite <dir> <label> [chaos]
@@ -134,8 +136,8 @@ run_suite() {
 }
 
 do_release() {
-  banner "release: Release, quick suite"
-  configure release Release ""
+  banner "release: Release with bench/ and examples/, quick suite"
+  configure release Release "" ON
   cmake --build build-ci/release -j "$JOBS"
   run_suite release quick
 
@@ -354,10 +356,7 @@ do_journalfuzz() {
 
 do_profile() {
   banner "profile: ASan+UBSan benches, bench_table2 --profile + overhead gate"
-  cmake -B build-ci/profile -S . \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DMST_SANITIZE=address,undefined \
-    -DMST_BUILD_BENCH=ON >/dev/null
+  configure profile RelWithDebInfo address,undefined ON
   cmake --build build-ci/profile -j "$JOBS" \
     --target bench_table2 bench_prewarm
   local out=build-ci/profile/profile-artifacts

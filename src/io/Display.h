@@ -39,8 +39,7 @@ public:
   /// Enqueues a display command (e.g. "show: 'some text'").
   void submit(const std::string &Command) {
     SpinLockGuard Guard(Lock);
-    Ring[Next % Ring.size()] = Command;
-    ++Next;
+    Ring[Submitted % Ring.size()] = Command;
     ++Submitted;
     // Simulate the controller touching shared state per command: a short
     // critical section, as on the Firefly's display path.
@@ -57,9 +56,9 @@ public:
   std::vector<std::string> recentCommands() {
     SpinLockGuard Guard(Lock);
     std::vector<std::string> Out;
-    size_t N = Next < Ring.size() ? Next : Ring.size();
+    size_t N = Submitted < Ring.size() ? Submitted : Ring.size();
     for (size_t I = 0; I < N; ++I)
-      Out.push_back(Ring[(Next - N + I) % Ring.size()]);
+      Out.push_back(Ring[(Submitted - N + I) % Ring.size()]);
     return Out;
   }
 
@@ -69,7 +68,6 @@ public:
 private:
   SpinLock Lock;
   std::vector<std::string> Ring;
-  size_t Next = 0;
   uint64_t Submitted = 0;
   uint64_t Checksum = 0;
 };

@@ -1,4 +1,4 @@
-//===-- objmem/FullGC.cpp - Parallel mark-sweep full collector --*- C++ -*-===//
+//===-- objmem/FullGC.cpp - Mark-sweep full collector -----------*- C++ -*-===//
 //
 // Part of the Multiprocessor Smalltalk reproduction. MIT license.
 //
@@ -6,6 +6,7 @@
 
 #include "objmem/FullGC.h"
 
+#include "objmem/GcWork.h"
 #include "objmem/ObjectMemory.h"
 #include "obs/Profiler.h"
 #include "obs/TraceBuffer.h"
@@ -14,22 +15,15 @@
 
 using namespace mst;
 
-FullGC::FullGC(ObjectMemory &OM)
-    : OM(OM),
-      Stacks(gc::workerCount(OM.Config.FullGcWorkers, OM.Config.MpSupport),
-             "fullgc.steal"),
-      Out(Stacks.workers()) {}
-
-void FullGC::markAndPush(ObjectHeader *H, unsigned W) {
+void FullGC::markAndPush(ObjectHeader *H) {
   if (H->tryMark())
-    Stacks.push(W, H);
+    MarkStack.push_back(H);
 }
 
-void FullGC::seedRoots() {
-  unsigned Next = 0;
-  auto MarkOop = [&](Oop V) {
+void FullGC::markRoots() {
+  auto MarkOop = [this](Oop V) {
     if (V.isPointer() && V.object()->isOld())
-      markAndPush(V.object(), Next++ % Stacks.workers());
+      markAndPush(V.object());
   };
 
   MarkOop(OM.Nil);
@@ -47,9 +41,7 @@ void FullGC::seedRoots() {
 
   // Every live young object sits in the active survivor space (the
   // scavenge that precedes us emptied eden), which is linearly parseable:
-  // scan it for young→old edges instead of marking young objects. Race
-  // losers' abandoned copies are scanned too; their stale old referents
-  // survive one cycle as floating garbage, which is harmless.
+  // scan it for young→old edges instead of marking young objects.
   LinearSpace &Active = OM.Survivors[OM.ActiveSurvivor];
   assert(OM.Eden.used() == 0 && "full GC requires an empty eden");
   uint8_t *Frontier = Active.frontier();
@@ -64,20 +56,20 @@ void FullGC::seedRoots() {
   }
 }
 
-void FullGC::traceObject(ObjectHeader *Obj, unsigned W) {
+void FullGC::traceObject(ObjectHeader *Obj) {
   Oop Cls = Obj->classOop();
   if (Cls.isPointer() && Cls.object()->isOld())
-    markAndPush(Cls.object(), W);
+    markAndPush(Cls.object());
   uint32_t N = gc::liveSlots(Obj);
   Oop *Slots = Obj->slots();
   for (uint32_t I = 0; I < N; ++I) {
     Oop V = Slots[I];
     if (V.isPointer() && V.object()->isOld())
-      markAndPush(V.object(), W);
+      markAndPush(V.object());
   }
 }
 
-void FullGC::sweepChunk(uint8_t *Begin, uint8_t *End, SweepOut &Mine) {
+void FullGC::sweepChunk(uint8_t *Begin, uint8_t *End) {
   uint8_t *RunStart = nullptr;
   for (uint8_t *P = Begin; P < End;) {
     auto *H = reinterpret_cast<ObjectHeader *>(P);
@@ -95,19 +87,19 @@ void FullGC::sweepChunk(uint8_t *Begin, uint8_t *End, SweepOut &Mine) {
         RunStart = nullptr;
       }
       H->clearMarked();
-      Mine.Live += Bytes;
+      Live += Bytes;
       // Rebuild the remembered set from surviving old→young pointers: the
       // set itself was not a mark root (that would retain floating
       // garbage), so recompute each survivor's flag from scratch.
       bool RefsYoung = gc::refsYoung(H);
       H->setRemembered(RefsYoung);
       if (RefsYoung)
-        Mine.Remembered.push_back(H);
+        Remembered.push_back(H);
     } else {
       // Unmarked and not already free: freshly dead.
       if (!RunStart)
         RunStart = P;
-      Mine.Swept += Bytes;
+      Swept += Bytes;
     }
     P += Bytes;
   }
@@ -115,42 +107,29 @@ void FullGC::sweepChunk(uint8_t *Begin, uint8_t *End, SweepOut &Mine) {
     OM.Old.addFreeBlock(RunStart, static_cast<size_t>(End - RunStart));
 }
 
-void FullGC::sweepLoop(unsigned W) {
-  for (;;) {
-    size_t I = NextChunk.fetch_add(1, std::memory_order_relaxed);
-    if (I >= ChunksToSweep)
-      return;
-    chaos::point("fullgc.sweep");
-    OldSpace::ChunkSpan Span = OM.Old.chunkSpan(I);
-    sweepChunk(Span.Begin, Span.End, Out[W]);
-  }
-}
-
 void FullGC::run() {
   ProfStateScope Prof(ProfState::FullGc);
   {
     TraceSpan Span("fullgc.mark", "gc");
-    seedRoots();
-    gc::runWorkers(Stacks.workers(), [this](unsigned W) {
-      chaos::point("fullgc.mark");
-      Stacks.drain(W, [this, W](ObjectHeader *Obj) { traceObject(Obj, W); });
-    });
+    markRoots();
+    chaos::point("fullgc.mark");
+    while (!MarkStack.empty()) {
+      ObjectHeader *Obj = MarkStack.back();
+      MarkStack.pop_back();
+      traceObject(Obj);
+    }
   }
 
   {
     TraceSpan Span("fullgc.sweep", "gc");
     OM.Old.sweepBegin();
-    ChunksToSweep = OM.Old.chunkCount();
-    gc::runWorkers(Stacks.workers(), [this](unsigned W) { sweepLoop(W); });
+    for (size_t I = 0, N = OM.Old.chunkCount(); I < N; ++I) {
+      chaos::point("fullgc.sweep");
+      OldSpace::ChunkSpan Chunk = OM.Old.chunkSpan(I);
+      sweepChunk(Chunk.Begin, Chunk.End);
+    }
   }
 
-  std::vector<ObjectHeader *> NewEntries;
-  for (const SweepOut &Mine : Out) {
-    NewEntries.insert(NewEntries.end(), Mine.Remembered.begin(),
-                      Mine.Remembered.end());
-    Swept += Mine.Swept;
-    Live += Mine.Live;
-  }
   OM.Old.noteReclaimed(Swept);
-  OM.RemSet.replaceEntries(std::move(NewEntries));
+  OM.RemSet.replaceEntries(std::move(Remembered));
 }

@@ -1,4 +1,4 @@
-//===-- objmem/GcWork.cpp - Work engine shared by both collectors ---------===//
+//===-- objmem/GcWork.cpp - Rules every heap walker shares ----------------===//
 //
 // Part of the Multiprocessor Smalltalk reproduction. MIT license.
 //
@@ -8,10 +8,8 @@
 
 #include "objmem/ObjectMemory.h"
 #include "support/Assert.h"
-#include "vkernel/Chaos.h"
 
 using namespace mst;
-using namespace mst::gc;
 
 uint32_t gc::liveSlots(const ObjectHeader *Obj) {
   switch (Obj->Format) {
@@ -43,41 +41,4 @@ bool gc::refsYoung(const ObjectHeader *Obj) {
     if (Slots[I].isPointer() && !Slots[I].object()->isOld())
       return true;
   return false;
-}
-
-unsigned gc::workerCount(unsigned Configured, bool MpSupport) {
-  return MpSupport && Configured > 1 ? Configured : 1;
-}
-
-WorkStacks::WorkStacks(unsigned NumWorkers, const char *StealPoint)
-    : StealPoint(StealPoint) {
-  for (unsigned W = 0; W < NumWorkers; ++W)
-    Stacks.emplace_back(/*Shared=*/NumWorkers > 1);
-}
-
-ObjectHeader *WorkStacks::steal(unsigned W) {
-  // Take the front half of a sibling's stack: the owner pops the back, so
-  // the stolen entries are the coldest.
-  chaos::point(StealPoint);
-  for (unsigned I = 1; I < workers(); ++I) {
-    Stack &Victim = Stacks[(W + I) % workers()];
-    std::vector<ObjectHeader *> Loot;
-    {
-      SpinLockGuard Guard(Victim.Lock);
-      if (Victim.Items.empty())
-        continue;
-      size_t Take = (Victim.Items.size() + 1) / 2;
-      Loot.assign(Victim.Items.begin(), Victim.Items.begin() + Take);
-      Victim.Items.erase(Victim.Items.begin(), Victim.Items.begin() + Take);
-    }
-    ObjectHeader *Obj = Loot.back();
-    Loot.pop_back();
-    if (!Loot.empty()) {
-      Stack &Me = Stacks[W];
-      SpinLockGuard Guard(Me.Lock);
-      Me.Items.insert(Me.Items.end(), Loot.begin(), Loot.end());
-    }
-    return Obj;
-  }
-  return nullptr;
 }

@@ -49,12 +49,6 @@ struct MemoryConfig {
   /// Scavenges an object must survive before being tenured into old space.
   uint8_t TenureAge = 2;
 
-  /// Number of processors applied to one scavenge (paper §3.1: "It may be
-  /// possible to apply multiple processors to the garbage collection
-  /// task"). 1 = the serial scavenger MS shipped with. Clamped to 1 when
-  /// MpSupport is off, like FullGcWorkers.
-  unsigned ScavengeWorkers = 1;
-
   /// Allocation policy for the new-object space.
   AllocatorKind Allocator = AllocatorKind::Serialized;
 
@@ -73,12 +67,6 @@ struct MemoryConfig {
   /// "tenure-pressure heuristic"), so a genuinely growing live set does
   /// not thrash the collector.
   size_t FullGcThresholdBytes = 64u << 20;
-
-  /// Number of threads applied to one full collection (marking and
-  /// sweeping both fan out). Clamped to 1 when MpSupport is off: OldSpace's
-  /// lock is then a no-op, and tenuring and the sweep's free-list inserts
-  /// go through it.
-  unsigned FullGcWorkers = 4;
 
   /// Ceiling on total heap bytes: eden + both survivor spaces + old
   /// space's live bytes and usable capacity. 0 = unbounded (old space

@@ -8,9 +8,7 @@
 /// The header that precedes every heap object's body. The layout supports
 /// the Generation Scavenging collector: a survival-count byte for tenuring,
 /// a remembered flag for the entry table, an old-generation bit, and a
-/// forwarding encoding that overlays the class word during a scavenge
-/// (installable with a compare-and-swap so multiple scavenge workers can
-/// race to copy the same object — the paper's §3.1 parallel-scavenge idea).
+/// forwarding encoding that overlays the class word during a scavenge.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,9 +59,8 @@ enum : uint8_t {
   /// Context has been captured (by a block or a pointer store) and must not
   /// be recycled onto the free context list.
   FlagEscaped = 1u << 2,
-  /// Old object marked live by the current full collection. Set with a
-  /// racy-idempotent fetch_or during parallel marking; cleared during the
-  /// sweep, so the bit is always zero outside a full collection.
+  /// Old object marked live by the current full collection. Cleared during
+  /// the sweep, so the bit is always zero outside a full collection.
   FlagMarked = 1u << 3,
 };
 
@@ -124,16 +121,12 @@ struct ObjectHeader {
     return reinterpret_cast<ObjectHeader *>(Bits & ~uintptr_t(1));
   }
 
-  /// Attempts to install \p To as this object's forwarding pointer.
-  /// \returns true if this call installed it; false if another scavenge
-  /// worker won the race (read forwardee() for the winner's copy).
-  bool tryForwardTo(ObjectHeader *To) {
-    uintptr_t Expected = ClassBits.load(std::memory_order_acquire);
-    if (Expected & 1u)
-      return false;
-    uintptr_t Desired = reinterpret_cast<uintptr_t>(To) | 1u;
-    return ClassBits.compare_exchange_strong(Expected, Desired,
-                                             std::memory_order_acq_rel);
+  /// Overlays the class word with \p To as this object's forwarding
+  /// pointer. The scavenger calls it once per copied object.
+  void forwardTo(ObjectHeader *To) {
+    assert(!isForwarded() && "object is already forwarded");
+    ClassBits.store(reinterpret_cast<uintptr_t>(To) | 1u,
+                    std::memory_order_release);
   }
 
   bool isOld() const {
@@ -159,9 +152,7 @@ struct ObjectHeader {
     return (Flags.load(std::memory_order_relaxed) & FlagMarked) != 0;
   }
   /// Sets the mark bit. \returns true if this call set it (the caller owns
-  /// tracing the object); false if another mark worker got there first.
-  /// Relaxed is enough: the world is stopped, the bit carries no payload,
-  /// and double-tracing an object would be wasteful but not wrong.
+  /// tracing the object); false if the object was already marked.
   bool tryMark() {
     return (Flags.fetch_or(FlagMarked, std::memory_order_relaxed) &
             FlagMarked) == 0;

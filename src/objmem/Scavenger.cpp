@@ -8,6 +8,7 @@
 
 #include <cstring>
 
+#include "objmem/GcWork.h"
 #include "objmem/ObjectMemory.h"
 #include "obs/Profiler.h"
 #include "support/Assert.h"
@@ -15,21 +16,11 @@
 using namespace mst;
 
 Scavenger::Scavenger(ObjectMemory &OM)
-    : OM(OM), ToSpace(&OM.Survivors[1 - OM.ActiveSurvivor]),
-      Stacks(gc::workerCount(OM.Config.ScavengeWorkers, OM.Config.MpSupport),
-             "scavenge.steal"),
-      Out(Stacks.workers()) {}
+    : OM(OM), ToSpace(&OM.Survivors[1 - OM.ActiveSurvivor]) {}
 
-ObjectHeader *Scavenger::copyObject(ObjectHeader *Obj, unsigned W) {
+ObjectHeader *Scavenger::copyObject(ObjectHeader *Obj) {
   assert(!Obj->isOld() && "only new objects are copied");
   if (Obj->isForwarded())
-    return Obj->forwardee();
-
-  // Capture the class word before copying; a racing worker could install a
-  // forwarding pointer while we memcpy, and the destination must hold the
-  // real class.
-  uintptr_t ClassBits = Obj->ClassBits.load(std::memory_order_acquire);
-  if (ClassBits & 1u)
     return Obj->forwardee();
 
   size_t Total = Obj->totalBytes();
@@ -65,80 +56,55 @@ ObjectHeader *Scavenger::copyObject(ObjectHeader *Obj, unsigned W) {
   }
 
   auto *Copy = reinterpret_cast<ObjectHeader *>(Dest);
-  // The body is immutable while the world is stopped, so a plain memcpy is
-  // fine there. The header is rebuilt field by field instead: a rival
-  // worker's forwarding CAS may hit the source's class word concurrently,
-  // so it must not be read again — the capture from above is used.
-  std::memcpy(static_cast<void *>(Copy + 1),
-              static_cast<const void *>(Obj + 1),
-              Total - sizeof(ObjectHeader));
-  Copy->ClassBits.store(ClassBits, std::memory_order_relaxed);
-  Copy->SlotCount = Obj->SlotCount;
-  Copy->Hash = Obj->Hash;
-  Copy->ByteLength = Obj->ByteLength;
-  Copy->Format = Obj->Format;
-  Copy->Flags.store(
-      Obj->Flags.load(std::memory_order_relaxed) & uint8_t(~FlagRemembered),
-      std::memory_order_relaxed);
+  std::memcpy(static_cast<void *>(Copy), static_cast<const void *>(Obj),
+              Total);
+  Copy->setRemembered(false);
   Copy->Age = Tenure ? 0 : NewAge;
-  Copy->Unused = 0;
-  if (Tenure)
-    Copy->setOld();
-
-  if (!Obj->tryForwardTo(Copy)) {
-    // Another worker won the copy race; abandon ours (the bump allocation
-    // is wasted, which is harmless and rare).
-    return Obj->forwardee();
-  }
-
-  WorkerOut &Mine = Out[W];
   if (Tenure) {
-    Mine.BytesTenured += Total;
-    ++Mine.ObjectsTenured;
-    Mine.Promoted.push_back(Copy);
+    Copy->setOld();
+    BytesTenured += Total;
+    ++ObjectsTenured;
+    Promoted.push_back(Copy);
   } else {
-    Mine.BytesCopied += Total;
-    ++Mine.ObjectsCopied;
+    BytesCopied += Total;
+    ++ObjectsCopied;
   }
-  Stacks.push(W, Copy);
+  Obj->forwardTo(Copy);
+  ScanStack.push_back(Copy);
   return Copy;
 }
 
-void Scavenger::processCell(Oop *Cell, unsigned W) {
+void Scavenger::processCell(Oop *Cell) {
   Oop V = *Cell;
   if (!V.isPointer())
     return;
   ObjectHeader *O = V.object();
   if (O->isOld())
     return;
-  *Cell = Oop::fromObject(copyObject(O, W));
+  *Cell = Oop::fromObject(copyObject(O));
 }
 
-void Scavenger::scanObject(ObjectHeader *Obj, unsigned W) {
+void Scavenger::scanObject(ObjectHeader *Obj) {
   // The class reference is a root of the object too. Classes are normally
   // old, but nothing forbids a young class.
-  {
-    Oop Cls = Oop::fromBits(Obj->ClassBits.load(std::memory_order_relaxed));
-    if (Cls.isPointer() && !Cls.object()->isOld()) {
-      ObjectHeader *Copy = copyObject(Cls.object(), W);
-      Obj->ClassBits.store(Oop::fromObject(Copy).bits(),
-                           std::memory_order_relaxed);
-    }
-  }
+  Oop Cls = Obj->classOop();
+  if (Cls.isPointer() && !Cls.object()->isOld())
+    Obj->setClassOop(Oop::fromObject(copyObject(Cls.object())));
   uint32_t N = gc::liveSlots(Obj);
   Oop *Slots = Obj->slots();
   for (uint32_t I = 0; I < N; ++I)
-    processCell(&Slots[I], W);
+    processCell(&Slots[I]);
 }
 
-void Scavenger::collectRootCells(std::vector<Oop *> &Cells) {
-  auto Visitor = [&Cells](Oop *Cell) { Cells.push_back(Cell); };
+void Scavenger::copyRoots() {
+  auto Visitor = [this](Oop *Cell) { processCell(Cell); };
 
   // The distinguished nil (old, never moves, but uniformity is cheap).
-  Cells.push_back(&OM.Nil);
+  processCell(&OM.Nil);
 
   // Registered walkers: well-known objects, symbol table, scheduler,
-  // per-interpreter state.
+  // per-interpreter state. Their cells lie outside the heap, so relocating
+  // one referent moves no cell a walker has yet to visit.
   {
     std::lock_guard<std::mutex> Guard(OM.RootsMutex);
     for (auto &Walker : OM.RootWalkers)
@@ -150,7 +116,7 @@ void Scavenger::collectRootCells(std::vector<Oop *> &Cells) {
     std::lock_guard<std::mutex> Guard(OM.MutatorsMutex);
     for (auto &M : OM.Mutators)
       for (Oop *Cell : M->Handles.cells())
-        Cells.push_back(Cell);
+        processCell(Cell);
   }
 
   // Live fields of every remembered old object (the entry table's purpose:
@@ -159,14 +125,13 @@ void Scavenger::collectRootCells(std::vector<Oop *> &Cells) {
     uint32_t N = gc::liveSlots(Old);
     Oop *Slots = Old->slots();
     for (uint32_t I = 0; I < N; ++I)
-      Cells.push_back(&Slots[I]);
+      processCell(&Slots[I]);
   }
 }
 
 void Scavenger::rebuildRememberedSet() {
   std::vector<ObjectHeader *> Candidates = OM.RemSet.entries();
-  Candidates.insert(Candidates.end(), Totals.Promoted.begin(),
-                    Totals.Promoted.end());
+  Candidates.insert(Candidates.end(), Promoted.begin(), Promoted.end());
   std::vector<ObjectHeader *> NewEntries;
   for (ObjectHeader *Old : Candidates) {
     bool RefsYoung = gc::refsYoung(Old);
@@ -182,24 +147,11 @@ void Scavenger::run() {
   ProfStateScope Prof(ProfState::Scavenge);
   assert(ToSpace->used() == 0 && "to-space must be empty before a scavenge");
 
-  std::vector<Oop *> Roots;
-  collectRootCells(Roots);
-
-  // Partition the roots statically; each worker then drains its own scan
-  // stack, stealing when it runs dry.
-  unsigned N = Stacks.workers();
-  gc::runWorkers(N, [&](unsigned W) {
-    for (size_t I = W; I < Roots.size(); I += N)
-      processCell(Roots[I], W);
-    Stacks.drain(W, [&](ObjectHeader *Obj) { scanObject(Obj, W); });
-  });
-  for (const WorkerOut &Mine : Out) {
-    Totals.Promoted.insert(Totals.Promoted.end(), Mine.Promoted.begin(),
-                          Mine.Promoted.end());
-    Totals.BytesCopied += Mine.BytesCopied;
-    Totals.BytesTenured += Mine.BytesTenured;
-    Totals.ObjectsCopied += Mine.ObjectsCopied;
-    Totals.ObjectsTenured += Mine.ObjectsTenured;
+  copyRoots();
+  while (!ScanStack.empty()) {
+    ObjectHeader *Obj = ScanStack.back();
+    ScanStack.pop_back();
+    scanObject(Obj);
   }
 
   rebuildRememberedSet();

@@ -11,13 +11,12 @@
 /// indirection except during the scavenge itself, the world is stopped for
 /// the duration (paper §3.1).
 ///
-/// Supports applying multiple processors to one scavenge — the experiment
-/// the paper describes but had not yet performed. Each worker copies from
-/// its own share of the roots onto its own scan stack (GcWork.h), stealing
-/// when it runs dry; workers bump-allocate survivor space atomically and
-/// race to install forwarding pointers with compare-and-swap. Each keeps
-/// its own promoted list and counts, summed after the join, so a serial
-/// scavenge shares nothing and takes no lock.
+/// The scavenge runs on the thread that stopped the world, as MS's did:
+/// it copies every root's referent in root order, then drains one LIFO
+/// scan stack. The paper's open question, whether several processors
+/// could share one scavenge, was measured here and answered no for this
+/// heap (EXPERIMENTS.md §3.1/§6), so nothing is shared and nothing is
+/// locked.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "objmem/GcWork.h"
 #include "objmem/Oop.h"
 
 namespace mst {
@@ -45,35 +43,28 @@ public:
   /// old-space reference is updated, and the remembered set is rebuilt.
   void run();
 
-  uint64_t bytesCopied() const { return Totals.BytesCopied; }
-  uint64_t bytesTenured() const { return Totals.BytesTenured; }
-  uint64_t objectsCopied() const { return Totals.ObjectsCopied; }
-  uint64_t objectsTenured() const { return Totals.ObjectsTenured; }
+  uint64_t bytesCopied() const { return BytesCopied; }
+  uint64_t bytesTenured() const { return BytesTenured; }
+  uint64_t objectsCopied() const { return ObjectsCopied; }
+  uint64_t objectsTenured() const { return ObjectsTenured; }
 
 private:
-  /// What one worker copied and tenured.
-  struct alignas(64) WorkerOut {
-    std::vector<ObjectHeader *> Promoted;
-    uint64_t BytesCopied = 0;
-    uint64_t BytesTenured = 0;
-    uint64_t ObjectsCopied = 0;
-    uint64_t ObjectsTenured = 0;
-  };
-
-  /// Gathers the addresses of every root oop cell: registered walkers,
-  /// mutator handle stacks, and the live fields of remembered old objects.
-  void collectRootCells(std::vector<Oop *> &Cells);
+  /// Relocates the referent of every root oop cell, in order: registered
+  /// walkers, mutator handle stacks, and the live fields of remembered old
+  /// objects.
+  void copyRoots();
 
   /// Relocates the object referenced by \p Cell (if young) and updates the
-  /// cell. Copies worker \p W makes go onto its scan stack.
-  void processCell(Oop *Cell, unsigned W);
+  /// cell.
+  void processCell(Oop *Cell);
 
-  /// Ensures \p Obj has a copy in to-space or old space.
-  /// \returns the copy (or \p Obj's existing forwardee).
-  ObjectHeader *copyObject(ObjectHeader *Obj, unsigned W);
+  /// Ensures \p Obj has a copy in to-space or old space, pushing a new
+  /// copy on the scan stack. \returns the copy (or \p Obj's existing
+  /// forwardee).
+  ObjectHeader *copyObject(ObjectHeader *Obj);
 
   /// Visits the class word and every live field of \p Obj.
-  void scanObject(ObjectHeader *Obj, unsigned W);
+  void scanObject(ObjectHeader *Obj);
 
   /// Rebuilds the remembered set from the prior entries plus every object
   /// tenured during this scavenge.
@@ -82,9 +73,14 @@ private:
   ObjectMemory &OM;
   /// Destination survivor space for this scavenge.
   class LinearSpace *ToSpace;
-  gc::WorkStacks Stacks;
-  std::vector<WorkerOut> Out;
-  WorkerOut Totals;
+  /// Copies whose fields are not yet scanned.
+  std::vector<ObjectHeader *> ScanStack;
+  /// Objects tenured by this scavenge.
+  std::vector<ObjectHeader *> Promoted;
+  uint64_t BytesCopied = 0;
+  uint64_t BytesTenured = 0;
+  uint64_t ObjectsCopied = 0;
+  uint64_t ObjectsTenured = 0;
 };
 
 } // namespace mst

@@ -7,8 +7,7 @@
 /// \file
 /// The memory regions of the Generation Scavenging heap: a linear
 /// new-object space (eden), two survivor semispaces, and a chunked,
-/// non-moving old space. Survivor spaces support atomic bump allocation so
-/// parallel scavenge workers can copy concurrently.
+/// non-moving old space.
 ///
 /// No space is zero-filled: nothing reads a space byte before an
 /// allocator or the scavenger writes it. Allocation writes every header
@@ -42,8 +41,9 @@ public:
   /// Allocates the backing memory. May be called once.
   void init(size_t Bytes);
 
-  /// Bump-allocates \p Bytes using an atomic fetch-add (safe for parallel
-  /// scavenge workers). \returns the block, or nullptr when full.
+  /// Bump-allocates \p Bytes using an atomic fetch-add, so mutators refilling
+  /// their TLABs from eden need no lock. \returns the block, or nullptr
+  /// when full.
   uint8_t *tryBumpAtomic(size_t Bytes) {
     uint8_t *Old = Cur.fetch_add(Bytes, std::memory_order_relaxed);
     if (Old + Bytes <= Limit)

@@ -6,7 +6,7 @@
 
 #include "serve/Protocol.h"
 
-#include <cstdlib>
+#include <climits>
 
 using namespace mst;
 using namespace mst::serve;
@@ -58,6 +58,23 @@ std::string serve::unescapeLine(const std::string &S) {
   return Out;
 }
 
+bool serve::parseDecimal(const std::string &S, uint64_t Max,
+                         uint64_t &Out) {
+  if (S.empty())
+    return false;
+  uint64_t V = 0;
+  for (char C : S) {
+    if (C < '0' || C > '9')
+      return false;
+    unsigned D = static_cast<unsigned>(C - '0');
+    if (V > (Max - D) / 10)
+      return false;
+    V = V * 10 + D;
+  }
+  Out = V;
+  return true;
+}
+
 Request serve::parseRequestLine(const std::string &Line) {
   Request R;
   if (Line.empty()) {
@@ -93,15 +110,14 @@ Request serve::parseRequestLine(const std::string &Line) {
             Eq == std::string::npos ? Opt : Opt.substr(0, Eq);
         std::string Val =
             Eq == std::string::npos ? "" : Opt.substr(Eq + 1);
-        bool Numeric = !Val.empty() &&
-                       Val.find_first_not_of("0123456789") ==
-                           std::string::npos;
-        if (Key == "deadline" && Numeric) {
-          R.DeadlineMs = std::strtoull(Val.c_str(), nullptr, 10);
-        } else if (Key == "seq" && Numeric) {
+        bool Parsed = false;
+        if (Key == "deadline") {
+          Parsed = parseDecimal(Val, MaxDeadlineMs, R.DeadlineMs);
+        } else if (Key == "seq") {
           R.HasSeq = true;
-          R.Seq = std::strtoull(Val.c_str(), nullptr, 10);
-        } else {
+          Parsed = parseDecimal(Val, UINT64_MAX, R.Seq);
+        }
+        if (!Parsed) {
           R.K = Request::Kind::Bad;
           R.Error = "malformed tag option: expected "
                     "'@tag?deadline=MS' and/or '&seq=N'";
@@ -132,26 +148,23 @@ Request serve::parseRequestLine(const std::string &Line) {
   if (Cmd == "!health") {
     R.K = Request::Kind::Health;
   } else if (Cmd == "!session") {
-    if (Arg.empty() ||
-        Arg.find_first_not_of("0123456789") != std::string::npos) {
+    if (!parseDecimal(Arg, UINT64_MAX, R.SessionBind)) {
       R.K = Request::Kind::Bad;
       R.Error = "!session needs a numeric client id";
       return R;
     }
     R.K = Request::Kind::Session;
-    R.SessionBind = std::strtoull(Arg.c_str(), nullptr, 10);
   } else if (Cmd == "!checkpoint") {
     R.K = Request::Kind::Checkpoint;
   } else if (Cmd == "!kill") {
-    if (Arg.empty() || Arg.find_first_not_of("0123456789") !=
-                           std::string::npos) {
+    uint64_t Shard = 0;
+    if (!parseDecimal(Arg, UINT_MAX, Shard)) {
       R.K = Request::Kind::Bad;
       R.Error = "!kill needs a shard number";
       return R;
     }
     R.K = Request::Kind::Kill;
-    R.KillShard = static_cast<unsigned>(std::strtoul(Arg.c_str(),
-                                                     nullptr, 10));
+    R.KillShard = static_cast<unsigned>(Shard);
   } else if (Cmd == "!drain") {
     R.K = Request::Kind::Drain;
   } else if (Cmd == "!quit") {

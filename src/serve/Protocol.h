@@ -55,6 +55,10 @@
 namespace mst {
 namespace serve {
 
+/// The largest `?deadline=` a request may carry: its nanoseconds still
+/// fit in 64 bits.
+constexpr uint64_t MaxDeadlineMs = UINT64_MAX / 1000000;
+
 /// A parsed request line.
 struct Request {
   enum class Kind : uint8_t {
@@ -72,7 +76,7 @@ struct Request {
   std::string Source; ///< unescaped Smalltalk source (Eval)
   unsigned KillShard = 0;
   /// Per-request deadline from `?deadline=MS` (milliseconds from
-  /// receipt); 0 = use the server default.
+  /// receipt, at most MaxDeadlineMs); 0 = use the server default.
   uint64_t DeadlineMs = 0;
   /// Explicit client sequence from `?seq=N` (dedup key on a bound
   /// session).
@@ -91,6 +95,11 @@ std::string unescapeLine(const std::string &S);
 
 /// Parses one request line (without its terminating newline).
 Request parseRequestLine(const std::string &Line);
+
+/// Parses \p S as a decimal whole number no greater than \p Max into
+/// \p Out. \returns false when \p S is empty, holds a non-digit, or
+/// exceeds \p Max. Request fields and mst_serve's flags both use it.
+bool parseDecimal(const std::string &S, uint64_t Max, uint64_t &Out);
 
 /// Renders a response line, newline included.
 std::string formatResponse(bool Ok, const std::string &Tag,

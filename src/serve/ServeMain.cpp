@@ -17,13 +17,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
 #include "obs/Profiler.h"
+#include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "vkernel/Chaos.h"
 
@@ -33,6 +37,40 @@ using namespace mst::serve;
 namespace {
 volatile std::sig_atomic_t StopRequested = 0;
 void onSignal(int) { StopRequested = 1; }
+
+/// Prints the refusal of flag \p A, whose name is its first \p Prefix - 1
+/// characters. \returns false.
+bool badValue(const char *A, size_t Prefix) {
+  std::fprintf(stderr, "mst_serve: bad value for %.*s: %s\n",
+               static_cast<int>(Prefix - 1), A, A + Prefix);
+  return false;
+}
+
+/// Reads the value of flag \p A (after its \p Prefix) into \p Out when it
+/// is a decimal whole number no greater than \p Max, by default the
+/// largest \p T. \returns false, after printing the refusal, otherwise.
+template <typename T>
+bool wholeFlag(const char *A, size_t Prefix, T &Out,
+               uint64_t Max = std::numeric_limits<T>::max()) {
+  uint64_t N = 0;
+  if (!parseDecimal(A + Prefix, Max, N))
+    return badValue(A, Prefix);
+  Out = static_cast<T>(N);
+  return true;
+}
+
+/// Reads the value of flag \p A (after its \p Prefix) into \p Out when it
+/// is a finite, non-negative number. \returns false, after printing the
+/// refusal, otherwise.
+bool secondsFlag(const char *A, size_t Prefix, double &Out) {
+  const char *V = A + Prefix;
+  char *End = nullptr;
+  double D = std::strtod(V, &End);
+  if (End == V || *End || !std::isfinite(D) || D < 0)
+    return badValue(A, Prefix);
+  Out = D;
+  return true;
+}
 } // namespace
 
 int main(int argc, char **argv) {
@@ -41,39 +79,39 @@ int main(int argc, char **argv) {
   bool Profile = false;
   for (int I = 1; I < argc; ++I) {
     const char *A = argv[I];
+    bool Ok = true;
     if (std::strncmp(A, "--port=", 7) == 0) {
-      Config.Port = static_cast<uint16_t>(std::strtoul(A + 7, nullptr, 0));
+      Ok = wholeFlag(A, 7, Config.Port);
     } else if (std::strncmp(A, "--shards=", 9) == 0) {
-      Config.Pool.Shards =
-          static_cast<unsigned>(std::strtoul(A + 9, nullptr, 0));
+      Ok = wholeFlag(A, 9, Config.Pool.Shards);
     } else if (std::strncmp(A, "--image=", 8) == 0) {
       Config.Pool.BaseImage = A + 8;
     } else if (std::strncmp(A, "--data-dir=", 11) == 0) {
       Config.Pool.DataDir = A + 11;
     } else if (std::strncmp(A, "--snapshot-every=", 17) == 0) {
-      Config.Pool.CheckpointEveryMs = std::strtoull(A + 17, nullptr, 0);
+      Ok = wholeFlag(A, 17, Config.Pool.CheckpointEveryMs);
     } else if (std::strncmp(A, "--snapshot-keep=", 16) == 0) {
-      Config.Pool.KeepGenerations =
-          static_cast<unsigned>(std::strtoul(A + 16, nullptr, 0));
+      Ok = wholeFlag(A, 16, Config.Pool.KeepGenerations);
     } else if (std::strcmp(A, "--journal") == 0) {
       Config.Pool.Journal = true;
     } else if (std::strncmp(A, "--replay-deadline-ms=", 21) == 0) {
-      Config.Pool.ReplayDeadlineMs = std::strtoull(A + 21, nullptr, 0);
+      Ok = wholeFlag(A, 21, Config.Pool.ReplayDeadlineMs, MaxDeadlineMs);
     } else if (std::strncmp(A, "--max-pipeline=", 15) == 0) {
-      Config.MaxPipeline = std::strtoull(A + 15, nullptr, 0);
+      Ok = wholeFlag(A, 15, Config.MaxPipeline);
     } else if (std::strncmp(A, "--drain-timeout=", 16) == 0) {
-      Config.DrainTimeoutSec = std::strtod(A + 16, nullptr);
+      Ok = secondsFlag(A, 16, Config.DrainTimeoutSec);
     } else if (std::strncmp(A, "--request-deadline-ms=", 22) == 0) {
-      Config.RequestDeadlineMs = std::strtoull(A + 22, nullptr, 0);
+      Ok = wholeFlag(A, 22, Config.RequestDeadlineMs, MaxDeadlineMs);
     } else if (std::strncmp(A, "--queue-budget=", 15) == 0) {
-      Config.QueueBudget = std::strtoull(A + 15, nullptr, 0);
+      Ok = wholeFlag(A, 15, Config.QueueBudget);
     } else if (std::strncmp(A, "--breaker-threshold=", 20) == 0) {
-      Config.BreakerThreshold =
-          static_cast<unsigned>(std::strtoul(A + 20, nullptr, 0));
+      Ok = wholeFlag(A, 20, Config.BreakerThreshold);
     } else if (std::strncmp(A, "--breaker-open-ms=", 18) == 0) {
-      Config.BreakerOpenMs = std::strtoull(A + 18, nullptr, 0);
+      Ok = wholeFlag(A, 18, Config.BreakerOpenMs);
     } else if (std::strncmp(A, "--chaos-seed=", 13) == 0) {
-      chaos::enableSeed(std::strtoull(A + 13, nullptr, 0));
+      uint64_t Seed = 0;
+      if ((Ok = wholeFlag(A, 13, Seed)))
+        chaos::enableSeed(Seed);
     } else if (std::strcmp(A, "--profile") == 0) {
       Profile = true;
     } else {
@@ -89,6 +127,8 @@ int main(int argc, char **argv) {
                    argv[0]);
       return 2;
     }
+    if (!Ok)
+      return 2;
   }
   if (Config.Pool.Journal && Config.Pool.DataDir.empty()) {
     std::fprintf(stderr, "mst_serve: --journal requires --data-dir\n");

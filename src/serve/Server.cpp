@@ -484,8 +484,13 @@ void Server::handleLine(Session &S, const std::string &Line) {
     Q.EnqueueNs = nowNs();
     uint64_t DeadlineMs =
         R.DeadlineMs != 0 ? R.DeadlineMs : Config.RequestDeadlineMs;
-    if (DeadlineMs != 0)
-      Q.DeadlineNs = Q.EnqueueNs + DeadlineMs * 1000000;
+    if (DeadlineMs != 0) {
+      // Saturate: a deadline past the clock's range never expires.
+      uint64_t Ns = DeadlineMs > MaxDeadlineMs ? UINT64_MAX
+                                               : DeadlineMs * 1000000;
+      Q.DeadlineNs = Ns > UINT64_MAX - Q.EnqueueNs ? UINT64_MAX
+                                                   : Q.EnqueueNs + Ns;
+    }
     uint64_t Seq = Q.Seq;
     if (!Shards[S.Shard]->submit(std::move(Q))) {
       S.Out += formatResponse(false, R.Tag, "shard unavailable");

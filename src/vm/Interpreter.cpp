@@ -522,7 +522,9 @@ constexpr uint64_t SliceMicros = 2000;
 RunResult Interpreter::interpretSlice(uint64_t MaxBytecodes) {
   reloadFrame();
   Safepoint &Sp = OM.safepoint();
-  uint64_t Executed = 0;
+  // This slice has run BytecodeCount - SliceStart bytecodes. The untimed
+  // slice's limit, UINT64_MAX, is never reached.
+  const uint64_t SliceStart = BytecodeCount;
   // Time-based preemption: a Process that buries its slice inside long
   // primitives still yields within SliceMicros of processor time
   // (the timer interrupt of real hardware). Only armed for real slices.
@@ -539,11 +541,12 @@ RunResult Interpreter::interpretSlice(uint64_t MaxBytecodes) {
       writeBackIp();
       return RunResult::Stopping;
     }
-    if (++Executed > MaxBytecodes) {
+    uint64_t Executed = BytecodeCount - SliceStart;
+    if (Executed >= MaxBytecodes) {
       writeBackIp();
       return RunResult::Yielded;
     }
-    if ((Executed & 511) == 0) {
+    if ((Executed & 511) == 511) {
       // The deadline is armed even for untimed (driver) slices: a serve
       // request runs as one runToCompletion call, and this is where a
       // runaway `[true] whileTrue.` that sends nothing is caught.

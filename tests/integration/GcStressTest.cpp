@@ -84,18 +84,6 @@ TEST(GcStressTest, TenuredObjectsRememberYoung) {
   EXPECT_EQ(R, 12);
 }
 
-TEST(GcStressTest, ParallelScavengeWorkers) {
-  VmConfig C = smallEden(2);
-  C.Memory.ScavengeWorkers = 4;
-  TestVm T(C);
-  intptr_t R = T.evalInt(
-      "| keep | keep := OrderedCollection new. 1 to: 200 do: [:i | keep "
-      "add: i printString]. 1 to: 30000 do: [:i | Array new: 32]. ^keep "
-      "size");
-  EXPECT_EQ(R, 200);
-  EXPECT_GT(T.vm().memory().statsSnapshot().Scavenges, 0u);
-}
-
 TEST(GcStressTest, MacroBenchmarkUnderTinyEdenAndBusyCompetition) {
   // The everything-at-once stress: paper-sized eden (close to the 80 KB
   // MS ran with), four interpreters, four busy competitors, and the

@@ -38,7 +38,6 @@ protected:
     C.EdenBytes = 256 * 1024;
     C.SurvivorBytes = 128 * 1024;
     C.OldChunkBytes = 256 * 1024;
-    C.FullGcWorkers = 2;
     return C;
   }
 
@@ -172,7 +171,6 @@ TEST_F(FullGCTest, TriggerHeuristicBoundsOldSpace) {
       C.TenureAge = 1; // every surviving object tenures immediately
       C.FullGcEnabled = FullGcOn;
       C.FullGcThresholdBytes = 512 * 1024;
-      C.FullGcWorkers = 2;
       ObjectMemory OM(C);
       OM.registerMutator("tenure-pressure");
       Oop Nil = OM.allocateOldPointers(Oop(), 0);
@@ -235,7 +233,6 @@ TEST_F(FullGCTest, TriggerFiresForLargeObjectsAllocatedOld) {
     C.SurvivorBytes = 64 * 1024;
     C.OldChunkBytes = 128 * 1024;
     C.FullGcThresholdBytes = Threshold;
-    C.FullGcWorkers = 2;
     ObjectMemory OM(C);
     OM.registerMutator("large-objects");
     Oop Nil = OM.allocateOldPointers(Oop(), 0);

@@ -236,17 +236,15 @@ TEST_F(ScavengerTest, SurvivorOverflowTenuresEarly) {
   }).join();
 }
 
-/// Parallel scavenging must preserve exactly the same live set as serial.
-class ParallelScavengeTest : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(ParallelScavengeTest, RandomGraphSurvivesIntact) {
-  std::thread([this] {
+TEST_F(ScavengerTest, RandomGraphSurvivesIntact) {
+  // A graph of random edges: the scavenge must preserve exactly its
+  // reachable part. Runs on its own thread, like SurvivorOverflow above.
+  std::thread([] {
   MemoryConfig C;
   C.EdenBytes = 1024 * 1024;
   C.SurvivorBytes = 1024 * 1024;
-  C.ScavengeWorkers = GetParam();
   ObjectMemory OM(C);
-  OM.registerMutator("par");
+  OM.registerMutator("graph");
   Oop Nil = OM.allocateOldPointers(Oop(), 0);
   OM.setNil(Nil);
   Oop Cls = OM.allocateOldPointers(Nil, 0);
@@ -304,19 +302,47 @@ TEST_P(ParallelScavengeTest, RandomGraphSurvivesIntact) {
   }).join();
 }
 
-INSTANTIATE_TEST_SUITE_P(Workers, ParallelScavengeTest,
-                         ::testing::Values(1u, 2u, 4u));
+/// Links \p Nodes fresh young nodes into a chain through slot 0, each
+/// tagged with its index in slot 3 and holding a random edge to an earlier
+/// node in slot 1. Eden must hold them all. \returns every node made, the
+/// head (the last one) at the back.
+std::vector<Oop> makeChain(ObjectMemory &OM, Oop Cls, int Nodes) {
+  SplitMix64 Rng(7);
+  std::vector<Oop> Made;
+  for (int I = 0; I < Nodes; ++I) {
+    Oop N = OM.allocatePointers(Cls, 4);
+    N.object()->slots()[3] = Oop::fromSmallInt(I);
+    if (I) {
+      OM.storePointer(N, 0, Made.back());
+      OM.storePointer(N, 1, Made[Rng.nextBelow(Made.size())]);
+    }
+    Made.push_back(N);
+  }
+  return Made;
+}
+
+/// Walks the chain makeChain built from \p Head, checking every tag and
+/// edge, and counts its nodes into \p Seen.
+void walkChain(Oop Head, Oop Nil, int Nodes, int &Seen) {
+  Seen = 0;
+  for (Oop N = Head; N.isPointer() && N != Nil;
+       N = ObjectMemory::fetchPointer(N, 0)) {
+    ASSERT_EQ(N.object()->slots()[3], Oop::fromSmallInt(Nodes - 1 - Seen));
+    Oop Edge = N.object()->slots()[1];
+    if (Seen != Nodes - 1) {
+      ASSERT_TRUE(Edge.isPointer());
+      ASSERT_LT(Edge.object()->slots()[3].smallInt(), Nodes - 1 - Seen);
+    }
+    ++Seen;
+  }
+}
 
 TEST(SerialCollectionTest, UniprocessorCollectionsTakeNoLockOnOneThread) {
-  // Without MpSupport both collectors run one worker whatever the config
-  // asks for: OldSpace's lock is a no-op there, so tenuring and the sweep
-  // must not run on several threads, and one worker shares nothing that
-  // needs a lock.
+  // Without MpSupport OldSpace's lock is a no-op, and both collectors run
+  // on the thread that stopped the world, so a collection takes no lock.
   std::thread([] {
   MemoryConfig C;
   C.MpSupport = false;
-  C.ScavengeWorkers = 4;
-  C.FullGcWorkers = 4;
   C.TenureAge = 1;
   C.EdenBytes = 256 * 1024;
   C.SurvivorBytes = 128 * 1024;
@@ -334,22 +360,8 @@ TEST(SerialCollectionTest, UniprocessorCollectionsTakeNoLockOnOneThread) {
     for (Oop &R : Roots)
       V(&R);
   });
-
-  // A 1,000-node chain through slot 0, each node tagged with its index in
-  // slot 3 and holding a random edge to an earlier node in slot 1.
   const int Nodes = 1000;
-  SplitMix64 Rng(7);
-  std::vector<Oop> Made;
-  for (int I = 0; I < Nodes; ++I) {
-    Oop N = OM.allocatePointers(Cls, 4);
-    N.object()->slots()[3] = Oop::fromSmallInt(I);
-    if (I) {
-      OM.storePointer(N, 0, Made.back());
-      OM.storePointer(N, 1, Made[Rng.nextBelow(Made.size())]);
-    }
-    Made.push_back(N); // eden holds the graph: no scavenge until asked
-  }
-  Roots[0] = Made.back();
+  Roots[0] = makeChain(OM, Cls, Nodes).back();
 
   chaos::Config Count; // count the points crossed, perturb none
   Count.YieldPermille = Count.SleepPermille = Count.DelayPermille = 0;
@@ -363,16 +375,7 @@ TEST(SerialCollectionTest, UniprocessorCollectionsTakeNoLockOnOneThread) {
   EXPECT_GT(S.ObjectsTenured, 0u);
   EXPECT_GT(S.ObjectsCopied, 0u);
   int Seen = 0;
-  for (Oop N = Roots[0]; N.isPointer() && N != Nil;
-       N = ObjectMemory::fetchPointer(N, 0)) {
-    ASSERT_EQ(N.object()->slots()[3], Oop::fromSmallInt(Nodes - 1 - Seen));
-    Oop Edge = N.object()->slots()[1];
-    if (Seen != Nodes - 1) {
-      ASSERT_TRUE(Edge.isPointer());
-      ASSERT_LT(Edge.object()->slots()[3].smallInt(), Nodes - 1 - Seen);
-    }
-    ++Seen;
-  }
+  walkChain(Roots[0], Nil, Nodes, Seen);
   EXPECT_EQ(Seen, Nodes);
   std::string Error;
   EXPECT_TRUE(OM.verifyHeap(&Error)) << Error;
@@ -383,11 +386,72 @@ TEST(SerialCollectionTest, UniprocessorCollectionsTakeNoLockOnOneThread) {
     SawFullGc |= Name == "fullgc.start";
     EXPECT_NE(Name, "spinlock.acquire") << Hits << " hits";
     EXPECT_NE(Name, "spinlock.trylock") << Hits << " hits";
-    // Only a worker with siblings ever tries to steal.
-    EXPECT_EQ(Name.find(".steal"), std::string::npos) << Name;
   }
   EXPECT_TRUE(SawScavenge);
   EXPECT_TRUE(SawFullGc);
+  OM.unregisterMutator();
+  }).join();
+}
+
+TEST(SerialCollectionTest, MultiprocessorFullCollectionMarksOnce) {
+  // An MS heap with the default configuration collects on the thread that
+  // stopped the world too: one full collection starts marking once.
+  std::thread([] {
+  ObjectMemory OM{MemoryConfig()};
+  OM.registerMutator("mp");
+  Oop Nil = OM.allocateOldPointers(Oop(), 0);
+  OM.setNil(Nil);
+  Oop Cls = OM.allocateOldPointers(Nil, 0);
+  std::vector<Oop> Roots(1, Oop());
+  OM.addRootWalker([&Roots](const ObjectMemory::OopVisitor &V) {
+    for (Oop &R : Roots)
+      V(&R);
+  });
+  const int Nodes = 1000;
+  std::vector<Oop> Made = makeChain(OM, Cls, Nodes);
+  Roots[0] = Made.back();
+  // Old objects: every even node holds one in slot 2, and as many more
+  // are garbage.
+  for (int I = 0; I < Nodes; ++I) {
+    Oop Old = OM.allocateOldPointers(Cls, 1);
+    Old.object()->slots()[0] = Oop::fromSmallInt(I);
+    if (I % 2 == 0)
+      OM.storePointer(Made[static_cast<size_t>(I)], 2, Old);
+  }
+
+  chaos::Config Count; // count the points crossed, perturb none
+  Count.YieldPermille = Count.SleepPermille = Count.DelayPermille = 0;
+  chaos::enable(Count);
+  OM.fullCollect();
+  auto Points = chaos::pointCounts();
+  chaos::disable();
+
+  uint64_t MarkStarts = 0;
+  for (const auto &[Name, Hits] : Points)
+    if (Name == "fullgc.mark")
+      MarkStarts = Hits;
+  EXPECT_EQ(MarkStarts, 1u);
+
+  FullGcStats F = OM.fullGcStatsSnapshot();
+  EXPECT_EQ(F.Collections, 1u);
+  EXPECT_GE(F.SweptBytes,
+            Nodes / 2 * (sizeof(ObjectHeader) + sizeof(Oop)));
+  int Seen = 0;
+  walkChain(Roots[0], Nil, Nodes, Seen);
+  EXPECT_EQ(Seen, Nodes);
+  int Held = 0;
+  for (Oop N = Roots[0]; N.isPointer() && N != Nil;
+       N = ObjectMemory::fetchPointer(N, 0)) {
+    Oop Old = N.object()->slots()[2];
+    if (!Old.isPointer() || Old == Nil)
+      continue;
+    EXPECT_TRUE(Old.object()->isOld());
+    EXPECT_EQ(Old.object()->slots()[0], N.object()->slots()[3]);
+    ++Held;
+  }
+  EXPECT_EQ(Held, Nodes / 2);
+  std::string Error;
+  EXPECT_TRUE(OM.verifyHeap(&Error)) << Error;
   OM.unregisterMutator();
   }).join();
 }

@@ -85,6 +85,10 @@ TEST(ServeProtocol, ParseSeqOptionAndCombinations) {
 
   EXPECT_EQ(parseRequestLine("@t7?seq= 1 + 1").K, Request::Kind::Bad);
   EXPECT_EQ(parseRequestLine("@t7?seq=abc 1 + 1").K, Request::Kind::Bad);
+  // Past 2^64 - 1: clamping would answer a different request from the
+  // dedup table.
+  EXPECT_EQ(parseRequestLine("@t7?seq=18446744073709551616 1 + 1").K,
+            Request::Kind::Bad);
   EXPECT_EQ(parseRequestLine("@t7?deadline=50&nope=1 1 + 1").K,
             Request::Kind::Bad);
 }
@@ -99,6 +103,8 @@ TEST(ServeProtocol, ParseSessionBind) {
   EXPECT_EQ(T.SessionBind, 7u);
   EXPECT_EQ(parseRequestLine("!session").K, Request::Kind::Bad);
   EXPECT_EQ(parseRequestLine("!session x7").K, Request::Kind::Bad);
+  EXPECT_EQ(parseRequestLine("!session 18446744073709551616").K,
+            Request::Kind::Bad);
 }
 
 TEST(ServeProtocol, ParseDeadlineOptionMalformed) {
@@ -107,6 +113,12 @@ TEST(ServeProtocol, ParseDeadlineOptionMalformed) {
             Request::Kind::Bad);
   EXPECT_EQ(parseRequestLine("@t7?foo=1 1 + 1").K, Request::Kind::Bad);
   EXPECT_FALSE(parseRequestLine("@t7?foo=1 1 + 1").Error.empty());
+  // The largest deadline whose nanoseconds fit in 64 bits, and one past it.
+  Request Max = parseRequestLine("@t7?deadline=18446744073709 1 + 1");
+  EXPECT_EQ(Max.K, Request::Kind::Eval);
+  EXPECT_EQ(Max.DeadlineMs, 18446744073709u);
+  EXPECT_EQ(parseRequestLine("@t7?deadline=18446744073710 1 + 1").K,
+            Request::Kind::Bad);
 }
 
 TEST(ServeProtocol, ParseEscapedEvalSource) {
@@ -132,6 +144,7 @@ TEST(ServeProtocol, ParseAdmin) {
 TEST(ServeProtocol, ParseBad) {
   EXPECT_EQ(parseRequestLine("!kill").K, Request::Kind::Bad);
   EXPECT_EQ(parseRequestLine("!kill x").K, Request::Kind::Bad);
+  EXPECT_EQ(parseRequestLine("!kill 4294967296").K, Request::Kind::Bad);
   EXPECT_EQ(parseRequestLine("!nosuch").K, Request::Kind::Bad);
   EXPECT_EQ(parseRequestLine("@tagonly").K, Request::Kind::Bad);
   EXPECT_FALSE(parseRequestLine("!nosuch").Error.empty());

@@ -331,6 +331,10 @@ TEST_F(ServeTest, ProtocolErrorsAnswerWithoutKillingTheServer) {
   std::string Value;
   ASSERT_TRUE(C.eval("!kill 99", Ok, Value));
   EXPECT_FALSE(Ok);
+  // 2^32 is no shard number; truncated, it would name shard 0.
+  ASSERT_TRUE(C.eval("!kill 4294967296", Ok, Value));
+  EXPECT_FALSE(Ok);
+  EXPECT_EQ(S->health()[0].Restarts, 0u);
   ASSERT_TRUE(C.eval("!nosuch", Ok, Value));
   EXPECT_FALSE(Ok);
   ASSERT_TRUE(C.eval("41 + 1", Ok, Value));
