@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the benchmark binaries: the four system states of
-/// Table 2, repetition/measurement plumbing, and output formatting.
+/// Helpers shared by the benchmark binaries: a system state as data (a
+/// VM configuration plus its competitor Processes), the runner that times
+/// the macro suite in one, and output formatting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,34 +55,14 @@ inline double benchScale(double Dflt) {
   return Dflt;
 }
 
-/// The four system states of Table 2.
-enum class SystemState {
-  BaselineBS,  ///< uniprocessor interpreter, no multiprocessor support
-  Ms,          ///< MS with one idle Process
-  MsFourIdle,  ///< MS with four idle Processes
-  MsFourBusy,  ///< MS with four busy Processes
+/// One system state as data: the VM it runs on and the Processes that
+/// compete with every benchmark in it.
+struct BenchState {
+  std::string Name;
+  VmConfig Config;
+  unsigned Competitors = 0;     ///< Processes forked before the suite
+  std::string CompetitorSource; ///< the statements each of them runs
 };
-
-inline const char *stateName(SystemState S) {
-  switch (S) {
-  case SystemState::BaselineBS:
-    return "Baseline BS on multiprocessor";
-  case SystemState::Ms:
-    return "MS on multiprocessor";
-  case SystemState::MsFourIdle:
-    return "MS with four idle Processes";
-  case SystemState::MsFourBusy:
-    return "MS with four busy Processes";
-  }
-  return "?";
-}
-
-/// Builds the VM configuration for \p S.
-inline VmConfig configFor(SystemState S) {
-  if (S == SystemState::BaselineBS)
-    return VmConfig::baselineBS();
-  return VmConfig::multiprocessor(msInterpreters());
-}
 
 /// Telemetry/trace flags shared by the benchmark mains.
 struct BenchFlags {
@@ -231,41 +213,35 @@ inline void finishBenchFlags(const BenchFlags &F,
   }
 }
 
-/// Runs all eight macro benchmarks in system state \p S.
-/// \returns one TimedRun per benchmark (Table 2 column order), keeping
-/// the minimum-CPU repetition. When \p SnapOut is non-null it receives a
-/// registry snapshot taken before the VM (and its counters) is destroyed.
-inline std::vector<TimedRun> runMacroSuite(
-    SystemState S, double Scale, unsigned Repeats = 1,
-    Telemetry::Snapshot *SnapOut = nullptr) {
-  VirtualMachine VM(configFor(S));
+/// One state's suite: each benchmark's kept run and the state's own
+/// telemetry.
+struct SuiteRun {
+  std::vector<TimedRun> Times; ///< one per benchmark, Table 2 column order
+  Telemetry::Snapshot Snap;    ///< the registry before the VM shut down
+};
+
+/// Runs all eight macro benchmarks in state \p S on one fresh VM, keeping
+/// each benchmark's minimum-CPU repetition. \p BeforeShutdown, when
+/// given, reads the VM after the last benchmark, once the competitors
+/// are terminated and the snapshot is taken.
+inline SuiteRun
+runMacroSuite(const BenchState &S, double Scale, unsigned Repeats,
+              const std::function<void(VirtualMachine &)> &BeforeShutdown =
+                  nullptr) {
+  VirtualMachine VM(S.Config);
   bootBenchImage(VM);
   VM.startInterpreters();
+  if (S.Competitors)
+    forkCompetitors(VM, S.Competitors, S.CompetitorSource, "Competitors");
 
-  // Competition per the paper: MS always carries one idle Process (its
-  // "uniprocessor mode"); the contended states carry four idle or busy.
-  switch (S) {
-  case SystemState::BaselineBS:
-    break;
-  case SystemState::Ms:
-    forkCompetitors(VM, 1, idleProcessSource(), "Competitors");
-    break;
-  case SystemState::MsFourIdle:
-    forkCompetitors(VM, 4, idleProcessSource(), "Competitors");
-    break;
-  case SystemState::MsFourBusy:
-    forkCompetitors(VM, 4, busyProcessSource(), "Competitors");
-    break;
-  }
-
-  std::vector<TimedRun> Times;
+  SuiteRun Out;
   for (const MacroBenchmark &B : macroBenchmarks()) {
     TimedRun Best;
     for (unsigned R = 0; R < Repeats; ++R) {
       TimedRun Run = runMacroBenchmark(VM, B, Scale, 600.0);
       if (!Run.Ok) {
         std::fprintf(stderr, "benchmark '%s' failed in state '%s'\n",
-                     B.Name.c_str(), stateName(S));
+                     B.Name.c_str(), S.Name.c_str());
         for (const std::string &E : VM.errors())
           std::fprintf(stderr, "  error: %s\n", E.c_str());
         Best = Run;
@@ -275,16 +251,17 @@ inline std::vector<TimedRun> runMacroSuite(
       if (!Best.Ok || Run.CpuSec < Best.CpuSec)
         Best = Run;
     }
-    Times.push_back(Best);
+    Out.Times.push_back(Best);
   }
 
-  if (S != SystemState::BaselineBS)
+  if (S.Competitors)
     terminateCompetitors(VM, "Competitors");
-  if (SnapOut)
-    *SnapOut = Telemetry::snapshot();
+  Out.Snap = Telemetry::snapshot();
+  if (BeforeShutdown)
+    BeforeShutdown(VM);
   benchProfileFold(VM);
   VM.shutdown();
-  return Times;
+  return Out;
 }
 
 /// Short column headers matching Table 2.
@@ -298,9 +275,8 @@ inline std::vector<std::string> macroShortNames() {
 /// (lock contention, cache hit rates, scavenge pause percentiles).
 /// \returns false on I/O failure.
 inline bool writeBenchJson(const std::string &Path, double Scale,
-                           const std::vector<SystemState> &States,
-                           const std::vector<std::vector<TimedRun>> &All,
-                           const std::vector<Telemetry::Snapshot> &Snaps) {
+                           const std::vector<BenchState> &States,
+                           const std::vector<SuiteRun> &All) {
   std::ofstream Os(Path, std::ios::binary | std::ios::trunc);
   if (!Os)
     return false;
@@ -310,9 +286,9 @@ inline bool writeBenchJson(const std::string &Path, double Scale,
   for (size_t SI = 0; SI < States.size(); ++SI) {
     if (SI)
       Os << ',';
-    Os << "{\"name\":\"" << stateName(States[SI]) << "\",\"results\":[";
-    for (size_t B = 0; B < All[SI].size(); ++B) {
-      const TimedRun &R = All[SI][B];
+    Os << "{\"name\":\"" << States[SI].Name << "\",\"results\":[";
+    for (size_t B = 0; B < All[SI].Times.size(); ++B) {
+      const TimedRun &R = All[SI].Times[B];
       if (B)
         Os << ',';
       Os << "{\"bench\":\"" << (B < Names.size() ? Names[B] : "?")
@@ -320,8 +296,7 @@ inline bool writeBenchJson(const std::string &Path, double Scale,
          << ",\"cpu_sec\":" << R.CpuSec << ",\"wall_sec\":" << R.WallSec
          << "}";
     }
-    Os << "],\"telemetry\":"
-       << (SI < Snaps.size() ? Telemetry::toJson(Snaps[SI]) : "{}") << "}";
+    Os << "],\"telemetry\":" << Telemetry::toJson(All[SI].Snap) << "}";
   }
   Os << "]";
   // When the sampling profiler ran, the accumulated cross-state profile

@@ -81,13 +81,14 @@ MicroRow measureMicro(int LiveObjs, int GarbageObjs, int Rounds) {
 /// One macro run: the Table 2 suite with the memory manager squeezed so
 /// the workloads tenure constantly, with the full collector on or off.
 struct MacroRun {
-  std::vector<TimedRun> Times;
-  Telemetry::Snapshot Snap;
+  SuiteRun Suite;
   FullGcStats Gc;
   size_t OldUsed = 0;
 };
 
-MacroRun measureMacro(bool FullGcOn, double Scale) {
+/// The state that squeezes the memory manager, with the full collector
+/// on or off.
+BenchState tenurePressure(bool FullGcOn) {
   VmConfig C = VmConfig::multiprocessor(msInterpreters());
   C.Memory.EdenBytes = 512u << 10;
   C.Memory.SurvivorBytes = 256u << 10;
@@ -97,40 +98,14 @@ MacroRun measureMacro(bool FullGcOn, double Scale) {
   // a 1M trigger means the tenured churn from the workloads fires the
   // collector repeatedly rather than never.
   C.Memory.FullGcThresholdBytes = 1u << 20;
-  VirtualMachine VM(C);
-  bootBenchImage(VM);
-  VM.startInterpreters();
-
   // The Table 2 workloads themselves tenure little; the pressure comes
   // from a competitor that keeps refilling a rolling window of arrays.
   // With TenureAge 1 every window entry that survives a scavenge goes
   // old, and its eviction strands it there as tenured garbage — the
   // population only the full collector can reclaim.
-  forkCompetitors(VM,
-                  1,
-                  "| keep | keep := Array new: 256. [true] whileTrue: "
-                  "[1 to: 256 do: [:i | keep at: i put: "
-                  "(Array new: 16)]]",
-                  "TenurePressure");
-
-  MacroRun Out;
-  for (const MacroBenchmark &B : macroBenchmarks()) {
-    TimedRun Run = runMacroBenchmark(VM, B, Scale, 600.0);
-    if (!Run.Ok) {
-      std::fprintf(stderr, "benchmark '%s' failed (fullgc %s)\n",
-                   B.Name.c_str(), FullGcOn ? "on" : "off");
-      for (const std::string &E : VM.errors())
-        std::fprintf(stderr, "  error: %s\n", E.c_str());
-    }
-    Out.Times.push_back(Run);
-  }
-  terminateCompetitors(VM, "TenurePressure");
-  Out.Snap = Telemetry::snapshot();
-  Out.Gc = VM.memory().fullGcStatsSnapshot();
-  Out.OldUsed = VM.memory().oldSpaceUsed();
-  benchProfileFold(VM);
-  VM.shutdown();
-  return Out;
+  return {FullGcOn ? "fullgc on" : "fullgc off", C, 1,
+          "| keep | keep := Array new: 256. [true] whileTrue: "
+          "[1 to: 256 do: [:i | keep at: i put: (Array new: 16)]]"};
 }
 
 bool writeJson(const std::string &Path, double Scale, const MicroRow &Micro,
@@ -149,8 +124,8 @@ bool writeJson(const std::string &Path, double Scale, const MicroRow &Micro,
     Os << "{\"fullgc\":\"" << Mode << "\",\"collections\":"
        << M.Gc.Collections << ",\"total_pause_sec\":" << M.Gc.TotalPauseSec
        << ",\"old_used_bytes\":" << M.OldUsed << ",\"results\":[";
-    for (size_t B = 0; B < M.Times.size(); ++B) {
-      const TimedRun &R = M.Times[B];
+    for (size_t B = 0; B < M.Suite.Times.size(); ++B) {
+      const TimedRun &R = M.Suite.Times[B];
       if (B)
         Os << ',';
       Os << "{\"bench\":\"" << (B < Names.size() ? Names[B] : "?")
@@ -158,7 +133,7 @@ bool writeJson(const std::string &Path, double Scale, const MicroRow &Micro,
          << ",\"cpu_sec\":" << R.CpuSec << ",\"wall_sec\":" << R.WallSec
          << "}";
     }
-    Os << "],\"telemetry\":" << Telemetry::toJson(M.Snap) << "}";
+    Os << "],\"telemetry\":" << Telemetry::toJson(M.Suite.Snap) << "}";
   };
   EmitMacro("on", On);
   Os << ',';
@@ -199,19 +174,25 @@ int main(int argc, char **argv) {
   // --- 2. Table 2 suite under tenuring pressure -----------------------
   std::printf("\nMacro suite under tenuring pressure (512K eden, "
               "TenureAge 1, 1M trigger):\n\n");
-  MacroRun On = measureMacro(true, Scale);
-  MacroRun Off = measureMacro(false, Scale);
+  MacroRun On, Off;
+  for (bool FullGcOn : {true, false}) {
+    MacroRun &Run = FullGcOn ? On : Off;
+    Run.Suite = runMacroSuite(tenurePressure(FullGcOn), Scale, 1,
+                              [&Run](VirtualMachine &VM) {
+                                Run.Gc = VM.memory().fullGcStatsSnapshot();
+                                Run.OldUsed = VM.memory().oldSpaceUsed();
+                              });
+  }
 
   TextTable M;
   M.setHeader({"benchmark", "fullgc on (s)", "fullgc off (s)"});
   const auto Names = macroShortNames();
   for (size_t B = 0; B < Names.size(); ++B)
     M.addRow({Names[B],
-              B < On.Times.size() && On.Times[B].Ok
-                  ? formatDouble(On.Times[B].CpuSec, 3)
-                  : "fail",
-              B < Off.Times.size() && Off.Times[B].Ok
-                  ? formatDouble(Off.Times[B].CpuSec, 3)
+              On.Suite.Times[B].Ok ? formatDouble(On.Suite.Times[B].CpuSec, 3)
+                                   : "fail",
+              Off.Suite.Times[B].Ok
+                  ? formatDouble(Off.Suite.Times[B].CpuSec, 3)
                   : "fail"});
   std::printf("%s", M.render().c_str());
   std::printf("fullgc on:  %llu collections, %.3f ms total pause, "
@@ -221,7 +202,7 @@ int main(int argc, char **argv) {
   std::printf("fullgc off: old used %zu B at end (garbage never "
               "reclaimed)\n",
               Off.OldUsed);
-  for (const auto &H : On.Snap.Histograms)
+  for (const auto &H : On.Suite.Snap.Histograms)
     if (H.Name == "gc.full.pause")
       std::printf("gc.full.pause: n=%llu p50=%.1fus p95=%.1fus p99=%.1fus "
                   "max=%.1fus\n",
@@ -234,6 +215,6 @@ int main(int argc, char **argv) {
     else
       std::printf("results written to %s\n", Flags.JsonOut.c_str());
   }
-  finishBenchFlags(Flags, On.Snap);
+  finishBenchFlags(Flags, On.Suite.Snap);
   return 0;
 }

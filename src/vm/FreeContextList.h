@@ -11,12 +11,13 @@
 /// serializing access to this list was a bottleneck; replicating it
 /// per-interpreter cut the worst-case overhead from 160% to 65%.
 ///
-/// Both policies are provided so bench_free_contexts can reproduce that
-/// result. Lists hold oops of *dead, never-escaped* contexts; because a
-/// scavenge would otherwise treat stale entries as garbage roots, every
-/// list is flushed at the start of each scavenge (pre-scavenge hook).
-/// Replicated lists take no lock: only the owning interpreter touches its
-/// list, and the flush runs while every interpreter is stopped.
+/// Both policies are provided so bench_table2's shared-list row can
+/// reproduce that result. Lists hold oops of *dead, never-escaped*
+/// contexts; because a scavenge would otherwise treat stale entries as
+/// garbage roots, every list is flushed at the start of each scavenge
+/// (pre-scavenge hook). Replicated lists take no lock: only the owning
+/// interpreter touches its list, and the flush runs while every
+/// interpreter is stopped.
 ///
 //===----------------------------------------------------------------------===//
 

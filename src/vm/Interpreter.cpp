@@ -721,10 +721,13 @@ void Interpreter::runLoop() {
     if (Sp.pollNeeded())
       Sp.pollSlow();
 
+    // Read before the pick: a Process readied after the pick found none
+    // advances the epoch, and the wait returns at once.
+    uint64_t Epoch = VM.scheduler().workEpoch();
     Oop P = VM.scheduler().pickProcessToRun();
     if (P.isNull()) {
       BlockedRegion Region(Sp);
-      VM.scheduler().waitForWork();
+      VM.scheduler().waitForWork(Epoch);
       continue;
     }
     if (!activateProcess(P)) {

@@ -122,9 +122,10 @@ private:
   Entry Entries[NumEntries];
 };
 
-/// Counters for the cache benches, registered process-wide as
-/// methodcache.hits / methodcache.misses. A cache's kind is fixed at
-/// construction, so kind() says which organization the counts describe.
+/// Hit and miss counters, registered process-wide as methodcache.hits /
+/// methodcache.misses; the §6 report and bench_table2's hit-rate column
+/// read them. A cache's kind is fixed at construction, so kind() says
+/// which organization the counts describe.
 struct MethodCacheStats {
   Counter Hits{"methodcache.hits"};
   Counter Misses{"methodcache.misses"};

@@ -225,11 +225,15 @@ bool Scheduler::canRun(Oop Proc) {
   return List == readyListFor(Proc);
 }
 
-void Scheduler::waitForWork() {
+uint64_t Scheduler::workEpoch() {
+  std::lock_guard<std::mutex> Idle(IdleMutex);
+  return WorkEpoch;
+}
+
+void Scheduler::waitForWork(uint64_t Seen) {
   ProfStateScope Prof(ProfState::Idle);
   chaos::point("sched.wait");
   std::unique_lock<std::mutex> Idle(IdleMutex);
-  uint64_t Seen = WorkEpoch;
   IdleCv.wait_for(Idle, std::chrono::milliseconds(1),
                   [this, Seen] { return WorkEpoch != Seen; });
 }

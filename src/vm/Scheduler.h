@@ -93,9 +93,15 @@ public:
   /// the reorganized replacement for "is Process x active?".
   bool canRun(Oop Proc);
 
-  /// Blocks the calling interpreter until work may be available. The
-  /// caller must hold no heap references (blocked region).
-  void waitForWork();
+  /// \returns the count of notifyWork calls so far. An interpreter reads
+  /// it before looking for work and hands it to waitForWork, so a
+  /// notifyWork that lands in between ends the wait at once.
+  uint64_t workEpoch();
+
+  /// Blocks the calling interpreter until work may be available: until
+  /// notifyWork has run since workEpoch() returned \p Seen, or for at most
+  /// 1 ms. The caller must hold no heap references (blocked region).
+  void waitForWork(uint64_t Seen);
 
   /// Wakes idle interpreters.
   void notifyWork();

@@ -11,6 +11,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include <chrono>
+
 #include "TestVm.h"
 
 #include "vm/Compiler.h"
@@ -177,6 +179,21 @@ TEST_F(SchedulerTest, ReadyQueueIsSmalltalkVisible) {
                       "do: [:i | (lists at: i) do: [:p | n := n + 1]]. "
                       "^n"),
             1);
+}
+
+TEST_F(SchedulerTest, NotifyAfterTheEpochIsReadEndsTheWaitAtOnce) {
+  // An idle interpreter reads the epoch, finds no Process, then waits. A
+  // notifyWork between the read and the wait must not be lost: each of
+  // these waits returns at once instead of after its 1 ms timeout.
+  Scheduler &S = T.vm().scheduler();
+  auto Start = std::chrono::steady_clock::now();
+  for (int Round = 0; Round < 100; ++Round) {
+    uint64_t Epoch = S.workEpoch();
+    S.notifyWork();
+    S.waitForWork(Epoch);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - Start,
+            std::chrono::milliseconds(50));
 }
 
 } // namespace
